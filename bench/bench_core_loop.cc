@@ -127,7 +127,7 @@ channelConfig(const workload::TraceGenConfig &tg, bool fast_alert_scan,
     subchannel::SubChannelConfig sc;
     sc.timing = tg.timing;
     sc.numBanks = tg.banksSimulated;
-    sc.securityEnabled = false;
+    sc.securityBanks = subchannel::SecurityBanks::none();
     sc.fastAlertScan = fast_alert_scan;
     // false selects the pre-overhaul sub-channel path wholesale:
     // virtual dispatch on every mitigator hook and the eagerly

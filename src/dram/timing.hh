@@ -70,6 +70,17 @@ struct TimingParams
     uint32_t actsPerRefi() const;
     /** REF commands per refresh window (tREFW / tREFI). */
     uint32_t refisPerRefw() const;
+    /**
+     * The part of tREFW that refisPerRefw() truncates (tREFW % tREFI).
+     * Non-zero on the Table-1 device by design (32 ms % 3900 ns); a
+     * known property of the grade, listed by `moatsim list-devices`.
+     */
+    Time refwRemainder() const;
+    /**
+     * The part of a tREFI that actsPerRefi() truncates
+     * ((tREFI - tRFC) % tRC; 6 ns on the Table-1 device).
+     */
+    Time refiActRemainder() const;
     /** Rows per refresh group. */
     uint32_t rowsPerGroup() const;
     /** Victim rows refreshed per aggressor mitigation (2 * blastRadius). */

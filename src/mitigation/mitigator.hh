@@ -80,10 +80,10 @@ class MitigationContext
 
     /**
      * Context without a ground-truth monitor (@p security may be
-     * null). Pure performance runs elide the oracle's storage
-     * entirely; the security-facing accounting calls then become
-     * no-ops, which is unobservable -- nothing reads the oracle when
-     * it is disabled.
+     * null). A SubChannel elides the oracle's storage on every bank
+     * outside its securityBanks (all of them in a performance run);
+     * the security-facing accounting calls then become no-ops, which
+     * is unobservable -- nothing reads an elided bank's oracle.
      */
     MitigationContext(dram::Bank &bank, dram::SecurityMonitor *security,
                       MitigationStats &stats);
@@ -105,7 +105,7 @@ class MitigationContext
 
   private:
     dram::Bank &bank_;
-    /** Null when the oracle is disabled (performance runs). */
+    /** Null when the bank's oracle is elided. */
     dram::SecurityMonitor *security_;
     MitigationStats &stats_;
 };

@@ -17,17 +17,18 @@ namespace moatsim::sim
 namespace
 {
 
-/** The channel template of a co-attack System: unlike perf runs the
- *  security oracle stays on -- attacker exposure is the point. */
+/** The channel template of a co-attack System. The security oracle
+ *  tracks @p observed: the attacked bank when the caller reads the
+ *  attacker's exposure, nothing otherwise. */
 subchannel::SubChannelConfig
 coChannelConfig(const workload::TraceGenConfig &tg, abo::Level level,
-                uint64_t seed)
+                uint64_t seed, subchannel::SecurityBanks observed)
 {
     subchannel::SubChannelConfig sc;
     sc.timing = tg.timing;
     sc.numBanks = tg.banksSimulated;
     sc.aboLevel = level;
-    sc.securityEnabled = true;
+    sc.securityBanks = observed;
     sc.seed = seed;
     return sc;
 }
@@ -118,10 +119,17 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
     if (!at.trace.events.empty())
         views.push_back(workload::viewOf(at.trace));
 
+    // The oracle only observes, so scoping it to what peakHammer reads
+    // below -- the attacked bank -- leaves every result unchanged. The
+    // channel template applies to every sub-channel slot, so each slot
+    // tracks that bank id; the other slots' monitors go unread.
     SystemConfig sys;
     sys.channel = coChannelConfig(
         config, level,
-        coAttackCellSeed(config, spec, mitigator, level, attack));
+        coAttackCellSeed(config, spec, mitigator, level, attack),
+        attacker_max_hammer != nullptr
+            ? subchannel::SecurityBanks::only(at.bank)
+            : subchannel::SecurityBanks::none());
     sys.subchannels = subchannels;
     sys.channels = std::max(1u, config.channels);
     sys.ranks = std::max(1u, config.ranks);

@@ -21,7 +21,8 @@ channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
     sc.timing = tg.timing;
     sc.numBanks = tg.banksSimulated;
     sc.aboLevel = level;
-    sc.securityEnabled = false; // perf runs skip the damage oracle
+    // Perf runs never read the damage oracle.
+    sc.securityBanks = subchannel::SecurityBanks::none();
     sc.sealedDispatch = sealed_dispatch;
     sc.seed = seed;
     return sc;

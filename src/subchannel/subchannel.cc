@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <span>
+#include <string>
 
 #include "common/logging.hh"
 #include "mitigation/ideal_prc.hh"
@@ -52,6 +53,16 @@ dispatchSealed(MitigatorKind kind, mitigation::IMitigator &mit, Fn &&fn)
 
 } // namespace
 
+std::string
+SecurityBanks::describe() const
+{
+    if (bank_ == kAll)
+        return "all";
+    if (bank_ == kNone)
+        return "none";
+    return "bank " + std::to_string(bank_);
+}
+
 SubChannel::SubChannel(const SubChannelConfig &config,
                        const MitigatorFactory &factory)
     : config_(config),
@@ -66,26 +77,27 @@ SubChannel::SubChannel(const SubChannelConfig &config,
                             ? config_.numBanks
                             : config_.timing.banksPerSubchannel;
     // The oracle's per-bank arrays (3 words per row) dominate the cost
-    // of constructing a sub-channel; allocate them only when something
-    // will read them. The reference path keeps the eager allocation so
-    // the benches can A/B the pre-overhaul cost model.
-    const bool oracle = config_.securityEnabled || !config_.sealedDispatch;
+    // of constructing a sub-channel; allocate them only for the banks
+    // whose ground truth a caller will read. The reference path keeps
+    // the eager allocation on every bank so the benches can A/B the
+    // pre-overhaul cost model.
+    const SecurityBanks observed = config_.securityBanks;
     const size_t rows = config_.timing.rowsPerBank;
-    // The flat counter slab pays off where construction cost is the
-    // bottleneck: oracle-free performance cells, built by the
-    // thousand across a matrix. Channels that carry the oracle are
-    // dominated by its arrays anyway, and measure slightly *slower*
-    // with the slab, so they keep per-bank counter storage.
-    const bool slab = config_.sealedDispatch && !oracle;
+    // One flat counter slab on every sealed channel: one allocation of
+    // numBanks x rowsPerBank entries rather than one per bank. Since
+    // the oracle is kept only on the banks a caller reads, the slab
+    // also serves the security and co-attack channels; the reference
+    // path keeps per-bank counter storage.
+    const bool slab = config_.sealedDispatch;
     if (slab)
         counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
     banks_.reserve(nb);
-    if (oracle)
-        security_.reserve(nb);
+    security_.reserve(nb);
     mitigators_.reserve(nb);
     kinds_.reserve(nb);
     refresh_.reserve(nb);
     mitigation_stats_.reserve(nb);
+    bool observes_any = false;
     for (BankId b = 0; b < nb; ++b) {
         if (slab) {
             banks_.emplace_back(
@@ -96,9 +108,14 @@ SubChannel::SubChannel(const SubChannelConfig &config,
             banks_.emplace_back(config_.timing, config_.counterInit,
                                 &rng_);
         }
-        if (oracle)
-            security_.emplace_back(config_.timing.rowsPerBank,
-                                   config_.timing.blastRadius);
+        const bool tracked = observed.covers(b);
+        observes_any = observes_any || tracked;
+        security_.push_back(
+            tracked || !config_.sealedDispatch
+                ? std::make_unique<dram::SecurityMonitor>(
+                      config_.timing.rowsPerBank,
+                      config_.timing.blastRadius)
+                : nullptr);
         mitigators_.push_back(factory(b));
         kinds_.push_back(config_.sealedDispatch
                              ? mitigators_.back()->kind()
@@ -106,6 +123,9 @@ SubChannel::SubChannel(const SubChannelConfig &config,
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();
     }
+    if (observed.any() && !observes_any)
+        fatal("SubChannel: securityBanks names " + observed.describe() +
+              ", outside the " + std::to_string(nb) + " simulated banks");
     bank_ready_.assign(nb, 0);
     next_ref_time_ = config_.timing.tREFI;
 }
@@ -160,8 +180,8 @@ SubChannel::activateAt(BankId bank, RowId row, Time not_before)
         dram::Bank &bk = banks_[bank];
         bk.activate(row);
         bk.precharge();
-        if (config_.securityEnabled)
-            security_[bank].onActivate(row);
+        if (config_.securityBanks.covers(bank))
+            security_[bank]->onActivate(row);
         mitigation::MitigationContext ctx(bk, securityPtr(bank),
                                           mitigation_stats_[bank]);
         mitigation::IMitigator &mit = *mitigators_[bank];
@@ -271,9 +291,9 @@ SubChannel::performOneRef()
         mitigation::MitigationContext ctx(banks_[b], securityPtr(b),
                                           mitigation_stats_[b]);
         if (config_.refreshResetsRows) {
-            if (config_.securityEnabled) {
+            if (config_.securityBanks.covers(b)) {
                 for (RowId r = first; r <= last; ++r)
-                    security_[b].onRowRefreshed(r);
+                    security_[b]->onRowRefreshed(r);
             }
             dispatchSealed(kinds_[b], *mitigators_[b], [&](auto &m) {
                 m.onAutoRefresh(first, last, ctx);
@@ -330,14 +350,20 @@ SubChannel::maybeAssertAlert(Time t)
     }
 }
 
-void
-SubChannel::requireOracle() const
+dram::SecurityMonitor *
+SubChannel::requireOracle(BankId b) const
 {
-    if (security_.empty())
+    if (b >= security_.size())
+        fatal("SubChannel::security: bank " + std::to_string(b) +
+              " out of range (" + std::to_string(security_.size()) +
+              " banks)");
+    if (security_[b] == nullptr)
         fatal("SubChannel::security: the ground-truth oracle is elided "
-              "on this channel (securityEnabled is off on the sealed "
-              "path); enable securityEnabled to track damage/hammer "
-              "state");
+              "on bank " +
+              std::to_string(b) + " (securityBanks tracks " +
+              config_.securityBanks.describe() +
+              "); track that bank to read its damage/hammer state");
+    return security_[b].get();
 }
 
 bool
@@ -370,8 +396,10 @@ uint32_t
 SubChannel::maxHammerAnyBank() const
 {
     uint32_t best = 0;
-    for (const auto &s : security_)
-        best = std::max(best, s.maxHammer());
+    for (const auto &s : security_) {
+        if (s != nullptr)
+            best = std::max(best, s->maxHammer());
+    }
     return best;
 }
 

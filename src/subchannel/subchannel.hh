@@ -25,6 +25,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "abo/abo.hh"
@@ -39,6 +40,46 @@
 
 namespace moatsim::subchannel
 {
+
+/**
+ * The banks whose ground truth the SecurityMonitor oracle tracks: all,
+ * none, or one bank. The oracle is observation-only (mitigators reach
+ * it solely through MitigationContext), so the scope never changes
+ * behaviour; it decides only which banks security() can report on and
+ * what a channel costs, since each tracked bank carries three
+ * rowsPerBank-sized arrays.
+ */
+class SecurityBanks
+{
+  public:
+    /** Every bank (security experiments, the attacks/ drivers). */
+    static constexpr SecurityBanks all() { return SecurityBanks(kAll); }
+    /** No bank (performance runs). */
+    static constexpr SecurityBanks none() { return SecurityBanks(kNone); }
+    /** Bank @p b alone (a co-attack reads only the attacked bank). */
+    static constexpr SecurityBanks only(BankId b) { return SecurityBanks(b); }
+
+    /** Whether bank @p b is tracked. */
+    constexpr bool covers(BankId b) const
+    {
+        return bank_ == kAll || bank_ == b;
+    }
+
+    /** Whether any bank is tracked. */
+    constexpr bool any() const { return bank_ != kNone; }
+
+    /** "all", "none" or "bank N" (for diagnostics). */
+    std::string describe() const;
+
+  private:
+    /** Sentinels above every BankId, so only(b) never collides. */
+    static constexpr uint32_t kAll = 0xffffffffu;
+    static constexpr uint32_t kNone = 0xfffffffeu;
+
+    explicit constexpr SecurityBanks(uint32_t bank) : bank_(bank) {}
+
+    uint32_t bank_;
+};
 
 /** Configuration of one sub-channel instance. */
 struct SubChannelConfig
@@ -59,11 +100,12 @@ struct SubChannelConfig
      */
     bool refreshResetsRows = true;
     /**
-     * Whether the ground-truth SecurityMonitor tracks every activation.
-     * Security experiments need it; pure performance runs disable it
-     * for speed (it never affects behaviour, only observation).
+     * Banks whose activations the ground-truth SecurityMonitor tracks.
+     * Security experiments track all; pure performance runs track none
+     * and a co-attack only the attacked bank (it never affects
+     * behaviour, only observation).
      */
-    bool securityEnabled = true;
+    SecurityBanks securityBanks = SecurityBanks::all();
     /** Number of banks; 0 means timing.banksPerSubchannel. */
     uint32_t numBanks = 0;
     /**
@@ -79,11 +121,12 @@ struct SubChannelConfig
      * Run the devirtualized hot path: per-ACT (and per-REF/RFM)
      * mitigator hooks dispatch through a sealed MitigatorKind switch
      * of direct calls into the five registry designs (anything else
-     * falls back to the virtual IMitigator interface), and the
-     * ground-truth oracle's multi-MB per-bank arrays are allocated
-     * only when securityEnabled actually reads them. false preserves
-     * the pre-overhaul reference path -- a virtual call per hook and
-     * eagerly allocated oracle state -- so bench_core_loop and
+     * falls back to the virtual IMitigator interface), PRAC counters
+     * live in one flat slab, and the ground-truth oracle's multi-MB
+     * per-bank arrays are allocated only for the banks securityBanks
+     * tracks. false preserves the pre-overhaul reference path -- a
+     * virtual call per hook, per-bank counter allocations, and oracle
+     * state eagerly allocated on every bank -- so bench_core_loop and
      * bench_sweep_scale can A/B the two; results are bit-identical
      * either way (the same member functions run in the same order).
      */
@@ -186,20 +229,16 @@ class SubChannel
     }
 
     /**
-     * Ground-truth security monitor of a bank. Only available when the
-     * configuration keeps the oracle (securityEnabled, or the
-     * reference path); performance runs elide its storage entirely and
-     * this accessor then fatal()s with a diagnostic.
+     * Ground-truth security monitor of a bank. Only available on banks
+     * the channel keeps the oracle for (those securityBanks tracks, or
+     * every bank on the reference path); elsewhere its storage is
+     * elided and this accessor fatal()s with a diagnostic naming the
+     * bank.
      */
-    dram::SecurityMonitor &security(BankId b)
-    {
-        requireOracle();
-        return security_.at(b);
-    }
+    dram::SecurityMonitor &security(BankId b) { return *requireOracle(b); }
     const dram::SecurityMonitor &security(BankId b) const
     {
-        requireOracle();
-        return security_.at(b);
+        return *requireOracle(b);
     }
 
     /** Mitigator of a bank. */
@@ -224,7 +263,11 @@ class SubChannel
     /** Aggregated mitigation-work counters across all banks. */
     mitigation::MitigationStats mitigationStats() const;
 
-    /** Max hammer count (paper's attack metric) across all banks. */
+    /**
+     * Max hammer count (paper's attack metric) across the banks
+     * securityBanks tracks. Other banks are not observed and
+     * contribute nothing, so a channel tracking none reports 0.
+     */
     uint32_t maxHammerAnyBank() const;
 
     /** The timing parameters in use. */
@@ -252,32 +295,33 @@ class SubChannel
     /** Whether any bank's mitigator currently wants an ALERT. */
     bool anyAlertWanted() const;
 
-    /** Security monitor of @p b, or null when the oracle is elided. */
+    /** Security monitor of @p b, or null when its oracle is elided. */
     dram::SecurityMonitor *securityPtr(BankId b)
     {
-        return security_.empty() ? nullptr : &security_[b];
+        return security_[b].get();
     }
 
-    /** fatal() with a diagnostic when the oracle is elided. */
-    void requireOracle() const;
+    /** The monitor of @p b; fatal() naming the bank when elided. */
+    dram::SecurityMonitor *requireOracle(BankId b) const;
 
     SubChannelConfig config_;
     Rng rng_;
     /**
-     * Flat PRAC-counter slab backing every bank (sealed path): one
-     * allocation of numBanks x rowsPerBank entries instead of one
-     * multi-hundred-KB allocation per bank. Declared before banks_ so
-     * it outlives the Bank spans into it. Empty on the reference path
-     * (banks own their counters, the pre-overhaul layout).
+     * Flat PRAC-counter slab backing every bank (sealed path, with or
+     * without the oracle): one allocation of numBanks x rowsPerBank
+     * entries instead of one multi-hundred-KB allocation per bank.
+     * Declared before banks_ so it outlives the Bank spans into it.
+     * Empty on the reference path (banks own their counters, the
+     * pre-overhaul layout).
      */
     std::vector<ActCount> counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;
-    /** Empty when the oracle is elided (securityEnabled off on the
-     *  sealed path); its per-bank arrays are the dominant cost of
-     *  constructing a sub-channel. */
-    std::vector<dram::SecurityMonitor> security_;
+    /** One slot per bank, null where the oracle is elided (banks
+     *  outside securityBanks on the sealed path); a monitor's arrays
+     *  are the dominant cost of constructing a sub-channel. */
+    std::vector<std::unique_ptr<dram::SecurityMonitor>> security_;
     std::vector<std::unique_ptr<mitigation::IMitigator>> mitigators_;
     /** Sealed dispatch tag per bank (Custom forces virtual calls). */
     std::vector<mitigation::MitigatorKind> kinds_;

@@ -670,7 +670,7 @@ cmdReplay(const Args &args)
 
     const auto spec = sim::mitigatorOfArgs(args, abo::Level::L1);
     sim::SystemConfig sys;
-    sys.channel.securityEnabled = true;
+    sys.channel.securityBanks = subchannel::SecurityBanks::all();
     sys.subchannels = nsc;
     sim::System system(sys, spec.factory());
     // Boolean flag: replay under attacker-controlled REF postponement.
@@ -752,14 +752,25 @@ cmdListDevices()
     orgs.print(std::cout);
 
     std::cout << "\n";
+    // The two remainders are what refisPerRefw() and actsPerRefi()
+    // truncate: a known property of each grade, so it is listed here
+    // rather than reported by every run.
     TablePrinter speeds({"speed", "tRC ns", "tREFI ns", "tRFC ns",
-                         "tREFW ms", "tRFM ns", "summary"});
+                         "tREFW ms", "tRFM ns", "tREFW%tREFI ns",
+                         "(tREFI-tRFC)%tRC ns", "summary"});
     for (const auto &s : dram::deviceSpeeds()) {
+        const dram::TimingParams t =
+            dram::DeviceSpec::parse("device:speed=" + s.name)
+                .resolve()
+                .timing();
         speeds.addRow({s.name, formatFixed(toNs(s.tRC), 0),
                        formatFixed(toNs(s.tREFI), 0),
                        formatFixed(toNs(s.tRFC), 0),
                        formatFixed(toMs(s.tREFW), 0),
-                       formatFixed(toNs(s.tRFM), 0), s.summary});
+                       formatFixed(toNs(s.tRFM), 0),
+                       formatFixed(toNs(t.refwRemainder()), 0),
+                       formatFixed(toNs(t.refiActRemainder()), 0),
+                       s.summary});
     }
     speeds.print(std::cout);
 

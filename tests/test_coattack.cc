@@ -17,6 +17,7 @@
 #include "sim/experiment.hh"
 #include "sim/result_io.hh"
 #include "sim/system.hh"
+#include "workload/trace_store.hh"
 
 namespace moatsim::sim
 {
@@ -44,7 +45,7 @@ manualSystem(const workload::TraceGenConfig &tg,
     sys.channel.timing = tg.timing;
     sys.channel.numBanks = tg.banksSimulated;
     sys.channel.aboLevel = level;
-    sys.channel.securityEnabled = true;
+    sys.channel.securityBanks = subchannel::SecurityBanks::all();
     sys.channel.seed = seed;
     sys.subchannels = tg.subchannels;
     return System(sys, m.factory());
@@ -65,6 +66,12 @@ expectIdenticalSystemResults(const SystemResult &a, const SystemResult &b)
         EXPECT_EQ(a.perSubchannel[i].refs, b.perSubchannel[i].refs);
         EXPECT_EQ(a.perSubchannel[i].alerts, b.perSubchannel[i].alerts);
         EXPECT_EQ(a.perSubchannel[i].rfms, b.perSubchannel[i].rfms);
+        const auto &ma = a.perSubchannel[i].mitigation;
+        const auto &mb = b.perSubchannel[i].mitigation;
+        EXPECT_EQ(ma.proactiveMitigations, mb.proactiveMitigations);
+        EXPECT_EQ(ma.alertMitigations, mb.alertMitigations);
+        EXPECT_EQ(ma.victimRefreshes, mb.victimRefreshes);
+        EXPECT_EQ(ma.counterResets, mb.counterResets);
     }
 }
 
@@ -88,6 +95,53 @@ TEST(CoAttack, AttackFreeCoRunEqualsPlainSystemReplay)
         runSystem(sys, workload::generateTraces(spec, tg));
 
     expectIdenticalSystemResults(co, plain);
+}
+
+TEST(CoAttack, ScopedOracleMatchesAllBankOracle)
+{
+    // runCoSystem keeps the security oracle on the attacked bank only.
+    // The oracle is observation-only, so a hand-built System tracking
+    // every bank must replay the same benign views plus attacker trace
+    // to the identical result and the identical attacker peak.
+    const auto tg = smallTracegen();
+    const auto &spec = workload::findWorkload("roms");
+    const workload::TraceSet benign(workload::generateTraces(spec, tg));
+    ASSERT_EQ(mitigation::Registry::names().size(), 5u);
+    for (const auto &mname : mitigation::Registry::names()) {
+        for (const char *pattern : {"hammer", "ratchet", "postponement"}) {
+            SCOPED_TRACE(mname + "/" + pattern);
+            const auto m = mitigation::Registry::parse(mname);
+            CoAttackScenario sc;
+            sc.pattern = pattern;
+            sc.subchannel = 1;
+            sc.bank = 5;
+            const auto attack = resolveAttack(sc, tg);
+
+            uint32_t scoped_peak = 0;
+            const SystemResult scoped =
+                runCoSystem(tg, CoreModel{}, spec, m, abo::Level::L1,
+                            attack, &scoped_peak, &benign);
+
+            const auto at = workload::generateAttackTrace(attack);
+            std::vector<workload::CoreTraceView> views = benign.views();
+            views.push_back(workload::viewOf(at.trace));
+            System sys = manualSystem(
+                tg, m, abo::Level::L1,
+                coAttackCellSeed(tg, spec, m, abo::Level::L1, attack));
+            sys.setPostponeRefresh(
+                workload::attackPostponesRefresh(attack.pattern));
+            const SystemResult full = runSystem(sys, views);
+            uint32_t full_peak = 0;
+            const auto &sec =
+                sys.subchannel(at.subchannel).security(at.bank);
+            for (const RowId row : at.rows)
+                full_peak = std::max(full_peak, sec.peakHammer(row));
+
+            expectIdenticalSystemResults(scoped, full);
+            EXPECT_EQ(scoped_peak, full_peak);
+            EXPECT_GT(full_peak, 0u);
+        }
+    }
 }
 
 TEST(CoAttack, SharedMaxHammerNeverExceedsIsolated)

@@ -124,7 +124,7 @@ moatSystem(uint32_t subchannels, uint32_t banks)
 {
     SystemConfig sys;
     sys.channel.numBanks = banks;
-    sys.channel.securityEnabled = false;
+    sys.channel.securityBanks = subchannel::SecurityBanks::none();
     sys.subchannels = subchannels;
     return sys;
 }

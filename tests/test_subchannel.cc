@@ -213,7 +213,7 @@ TEST(SubChannel, SecurityDisabledSkipsTracking)
     // The sealed hot path elides the oracle's storage entirely when
     // tracking is off; the aggregate view reports nothing tracked.
     SubChannelConfig sc = baseConfig(1);
-    sc.securityEnabled = false;
+    sc.securityBanks = SecurityBanks::none();
     auto ch = nullChannel(sc);
     for (int i = 0; i < 10; ++i)
         ch.activate(0, 100);
@@ -222,12 +222,87 @@ TEST(SubChannel, SecurityDisabledSkipsTracking)
     // The reference path keeps the monitor allocated (pre-overhaul
     // cost model) but still tracks nothing.
     SubChannelConfig ref = baseConfig(1);
-    ref.securityEnabled = false;
+    ref.securityBanks = SecurityBanks::none();
     ref.sealedDispatch = false;
     auto ch_ref = nullChannel(ref);
     for (int i = 0; i < 10; ++i)
         ch_ref.activate(0, 100);
     EXPECT_EQ(ch_ref.security(0).maxHammer(), 0u);
+}
+
+TEST(SubChannel, SingleBankScopeObservesOnlyThatBank)
+{
+    // maxHammerAnyBank() covers observed banks only: bank 2 is hammered
+    // harder, but only bank 1 is tracked, so bank 1's count is the max.
+    SubChannelConfig sc = baseConfig(4);
+    sc.securityBanks = SecurityBanks::only(1);
+    auto ch = nullChannel(sc);
+    for (int i = 0; i < 5; ++i)
+        ch.activate(1, 100);
+    for (int i = 0; i < 9; ++i)
+        ch.activate(2, 100);
+    EXPECT_EQ(ch.security(1).hammerCount(100), 5u);
+    EXPECT_EQ(ch.maxHammerAnyBank(), 5u);
+    EXPECT_EQ(SecurityBanks::only(1).describe(), "bank 1");
+    EXPECT_EQ(SecurityBanks::all().describe(), "all");
+    EXPECT_EQ(SecurityBanks::none().describe(), "none");
+}
+
+TEST(SubChannel, SecurityScopeNeverChangesBehaviour)
+{
+    // The oracle only observes: the same ACT stream against MOAT gives
+    // the same timing, ALERTs, mitigations and counters at any scope.
+    mitigation::MoatConfig m;
+    m.ath = 16;
+    m.eth = 8;
+    std::vector<std::vector<uint64_t>> runs;
+    for (const SecurityBanks scope :
+         {SecurityBanks::all(), SecurityBanks::none(),
+          SecurityBanks::only(1)}) {
+        SubChannelConfig sc = baseConfig(4);
+        sc.securityBanks = scope;
+        auto ch = moatChannel(sc, m);
+        std::vector<uint64_t> trace;
+        for (int i = 0; i < 400; ++i) {
+            const BankId b = static_cast<BankId>(i % 3);
+            trace.push_back(static_cast<uint64_t>(
+                ch.activate(b, static_cast<RowId>(100 + 2 * (i % 5)))));
+        }
+        const auto stats = ch.mitigationStats();
+        trace.push_back(ch.abo().alertCount());
+        trace.push_back(stats.totalMitigations());
+        trace.push_back(ch.stats().refs);
+        for (BankId b = 0; b < 4; ++b)
+            trace.push_back(ch.bank(b).counter(100));
+        runs.push_back(std::move(trace));
+    }
+    EXPECT_GT(runs[0][400], 0u) << "the stream must raise ALERTs";
+    EXPECT_EQ(runs[0], runs[1]);
+    EXPECT_EQ(runs[0], runs[2]);
+}
+
+TEST(SubChannelDeathTest, SecurityOfUnobservedBankNamesTheBank)
+{
+    SubChannelConfig sc = baseConfig(4);
+    sc.securityBanks = SecurityBanks::only(1);
+    auto ch = nullChannel(sc);
+    EXPECT_EXIT((void)ch.security(2), testing::ExitedWithCode(1),
+                "elided on bank 2 .*tracks bank 1");
+
+    sc.securityBanks = SecurityBanks::none();
+    auto none = nullChannel(sc);
+    EXPECT_EXIT((void)none.security(0), testing::ExitedWithCode(1),
+                "elided on bank 0 .*tracks none");
+    EXPECT_EXIT((void)none.security(9), testing::ExitedWithCode(1),
+                "bank 9 out of range");
+}
+
+TEST(SubChannelDeathTest, ScopeOutsideTheChannelIsRejected)
+{
+    SubChannelConfig sc = baseConfig(4);
+    sc.securityBanks = SecurityBanks::only(7);
+    EXPECT_EXIT(nullChannel(sc), testing::ExitedWithCode(1),
+                "securityBanks names bank 7, outside the 4");
 }
 
 TEST(SubChannel, RefreshResetsRowsDisabledKeepsCounters)

@@ -89,6 +89,30 @@ TEST(TimingDeathTest, ValidateRejectsHugeRfc)
     EXPECT_EXIT(t.validate(), testing::ExitedWithCode(1), "tRFC");
 }
 
+TEST(Timing, TruncationRemainders)
+{
+    // 32 ms % 3900 ns and (3900 - 410) % 52 ns: what refisPerRefw()
+    // and actsPerRefi() drop on the Table-1 device.
+    TimingParams t;
+    EXPECT_EQ(t.refwRemainder(), fromNs(500));
+    EXPECT_EQ(t.refiActRemainder(), fromNs(6));
+}
+
+TEST(Timing, ValidateIsQuietOnTruncatingGrades)
+{
+    // The remainders are a known property of a grade, listed by
+    // `moatsim list-devices`; validation stays silent on every grade,
+    // not just on the first one a process validates.
+    TimingParams fast;
+    fast.tRC = fromNs(44);
+    fast.tRFC = fromNs(350);
+    ASSERT_NE(fast.refiActRemainder(), 0);
+    testing::internal::CaptureStderr();
+    fast.validate();
+    TimingParams{}.validate();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
 TEST(Timing, ValidateAcceptsDefaults)
 {
     TimingParams t;
