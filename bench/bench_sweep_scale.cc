@@ -4,22 +4,21 @@
  * simulator wall time on the Table-5-shaped matrix (every Table-4
  * workload x four MOAT ETH points on the 2-sub-channel system).
  *
- * Runs the identical matrix twice through the SweepEngine:
+ * Runs the identical matrix three times through the SweepEngine:
  *
- *  - reference: trace store disabled and the pre-overhaul sub-channel
- *    path (virtual per-hook dispatch, eagerly allocated security
- *    oracle) -- every cell regenerates its workload trace, exactly as
- *    the pipeline worked before the shared-trace-store PR;
- *  - optimized: the shared workload::TraceStore plus the sealed
- *    devirtualized hot path -- each distinct trace is generated once
- *    (baselines included) and shared across the pool.
+ *  - reference: trace store disabled -- every cell generates its
+ *    workload trace, and the cell's baseline replays that handout;
+ *  - optimized: the shared workload::TraceStore -- each distinct trace
+ *    is generated once (baselines included) and shared across the
+ *    pool;
+ *  - warm: a pre-warmed sim::ResultStore serves every cell.
  *
- * Both runs must produce byte-identical JSONL (checked here; the bench
- * fails otherwise), so the comparison measures the pipeline, not the
- * simulation. The PR bar is >= 2x matrix cells/sec; the trace store's
- * hit rate and the generateTraces() invocation counts are reported so
- * a regression is attributable at a glance. bench_aggregate.py gates
- * the smoke run on the emitted bar.
+ * All runs must produce byte-identical JSONL, the warm run must
+ * recompute nothing, and the generateTraces() invocation counts must
+ * be exactly one per workload (store on) and one per cell (store off);
+ * the bench fails otherwise. The rates and the trace store's hit rate
+ * are a trajectory record, not a gate: moatbench's end-to-end metrics
+ * guard sweep speed from change to change.
  */
 
 #include <chrono>
@@ -72,9 +71,8 @@ main()
 {
     bench::header(
         "Matrix-sweep throughput (cells/sec of simulator wall time)",
-        "Shared trace store + devirtualized ACT hot path vs the "
-        "store-disabled/virtual-dispatch reference pipeline on the "
-        "Table-5-shaped matrix; PR bar: >= 2x.");
+        "Shared trace store vs the store-disabled pipeline, and a "
+        "warm result-store re-run, on the Table-5-shaped matrix.");
 
     const auto workloads = workload::table4Workloads();
     std::vector<std::pair<mitigation::MitigatorSpec, abo::Level>> points;
@@ -91,18 +89,22 @@ main()
     base.tracegen.windowFraction = 0.0625 * bench::benchScale();
     base.tracegen.subchannels = 2; // Table-3 full system
     base.jobs = bench::jobs();
+    // Pinned off (not read from the environment): an ambient
+    // MOATSIM_RESULT_STORE would serve cells without generating traces
+    // and break the invocation-count checks below.
+    base.resultStore =
+        std::make_shared<sim::ResultStore>(sim::ResultStore::Config{});
 
-    // Reference: regenerate per cell, pre-overhaul sub-channel path.
+    // Reference: the trace store off, so every cell generates.
     sim::SweepConfig ref_cfg = base;
-    ref_cfg.sealedDispatch = false;
     workload::TraceStore::Config off;
     off.enabled = false;
     ref_cfg.traceStore = std::make_shared<workload::TraceStore>(off);
     const MatrixRun ref = runMatrix(ref_cfg, cells);
 
-    // Optimized: shared store, sealed hot path. The store config is
-    // pinned explicitly (not read from the environment) so an ambient
-    // MOATSIM_TRACE_STORE=0 cannot corrupt the A/B comparison.
+    // Optimized: shared trace store. The store config is pinned
+    // explicitly (not read from the environment) so an ambient
+    // MOATSIM_TRACE_STORE=0 cannot corrupt the comparison.
     sim::SweepConfig opt_cfg = base;
     workload::TraceStore::Config on;
     opt_cfg.traceStore = std::make_shared<workload::TraceStore>(on);
@@ -140,6 +142,15 @@ main()
                   << warm_recomputes << " cells (expected 0)\n";
         return 1;
     }
+    // One generation per distinct workload with the store on; one per
+    // cell with it off, the baselines reusing their cell's handout.
+    if (opt.genCalls != workloads.size() || ref.genCalls != cells.size()) {
+        std::cerr << "FATAL: generateTraces ran " << opt.genCalls
+                  << " times with the trace store on (expected "
+                  << workloads.size() << ") and " << ref.genCalls
+                  << " with it off (expected " << cells.size() << ")\n";
+        return 1;
+    }
 
     const double n = static_cast<double>(cells.size());
     const double ref_rate = ref.seconds > 0 ? n / ref.seconds : 0.0;
@@ -149,10 +160,10 @@ main()
 
     TablePrinter t({"pipeline", "cells", "seconds", "cells/sec",
                     "generateTraces calls"});
-    t.addRow({"reference (no store, virtual dispatch)",
+    t.addRow({"reference (no trace store)",
               std::to_string(cells.size()), formatFixed(ref.seconds, 3),
               formatFixed(ref_rate, 2), std::to_string(ref.genCalls)});
-    t.addRow({"optimized (trace store, sealed dispatch)",
+    t.addRow({"optimized (trace store)",
               std::to_string(cells.size()), formatFixed(opt.seconds, 3),
               formatFixed(opt_rate, 2), std::to_string(opt.genCalls)});
     t.addRow({"warm (pre-warmed result store)",
@@ -164,14 +175,13 @@ main()
               << formatFixed(store.hitRate() * 100.0, 1) << "%), "
               << store.entries << " entries resident\n";
     std::cout << "speedup (optimized/reference): "
-              << formatFixed(speedup, 2) << "x (bar: 2.00x)\n";
+              << formatFixed(speedup, 2) << "x\n";
 
     if (std::ostream *os = bench::jsonlStream()) {
         *os << "{\"kind\":\"sweep_scale\",\"cells\":" << cells.size()
             << ",\"ref_cells_per_sec\":" << formatFixed(ref_rate, 3)
             << ",\"opt_cells_per_sec\":" << formatFixed(opt_rate, 3)
             << ",\"speedup\":" << formatFixed(speedup, 3)
-            << ",\"bar\":2.0"
             << ",\"warm_cells_per_sec\":" << formatFixed(warm_rate, 3)
             << ",\"warm_recomputes\":" << warm_recomputes
             << ",\"ref_gen_calls\":" << ref.genCalls

@@ -53,7 +53,7 @@ for bench in "$BUILD_DIR"/bench_*; do
     echo "$name $(((end_ns - start_ns) / 1000000))" >> "$times"
 done
 
-git_rev="$(git rev-parse --short HEAD 2> /dev/null || echo unknown)"
+git_rev="$(git describe --always --dirty 2> /dev/null || echo unknown)"
 mkdir -p "$(dirname "$OUT")"
 python3 scripts/bench_aggregate.py "$jsonl" "$times" "$OUT" \
     "$SCALE" "$git_rev"

@@ -15,7 +15,7 @@ namespace
 
 subchannel::SubChannelConfig
 channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
-                 uint64_t seed, bool sealed_dispatch)
+                 uint64_t seed)
 {
     subchannel::SubChannelConfig sc;
     sc.timing = tg.timing;
@@ -23,7 +23,6 @@ channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
     sc.aboLevel = level;
     // Perf runs never read the damage oracle.
     sc.securityBanks = subchannel::SecurityBanks::none();
-    sc.sealedDispatch = sealed_dispatch;
     sc.seed = seed;
     return sc;
 }
@@ -33,11 +32,10 @@ channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
  *  channelConfigFor. */
 System
 systemFor(const workload::TraceGenConfig &tg, abo::Level level,
-          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f,
-          bool sealed_dispatch)
+          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f)
 {
     SystemConfig sys;
-    sys.channel = channelConfigFor(tg, level, seed, sealed_dispatch);
+    sys.channel = channelConfigFor(tg, level, seed);
     sys.subchannels = std::max(1u, tg.subchannels);
     sys.channels = std::max(1u, tg.channels);
     sys.ranks = std::max(1u, tg.ranks);
@@ -91,8 +89,12 @@ perfCellKey(const workload::TraceGenConfig &config, const CoreModel &core,
 }
 
 std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
+BaselineCache::get(const workload::TraceGenConfig &config,
+                   const CoreModel &core, const workload::WorkloadSpec &spec,
+                   const workload::TraceSet &traces)
 {
+    const uint64_t key =
+        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
     std::shared_future<std::shared_ptr<const Finish>> future;
     std::promise<std::shared_ptr<const Finish>> promise;
     bool compute = false;
@@ -107,10 +109,19 @@ BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
             future = it->second;
         }
     }
+    // The replay runs outside the lock: only the winning requester
+    // computes, every other one blocks on its shared future.
     if (compute) {
         std::shared_ptr<const Finish> value;
         try {
-            value = std::make_shared<const Finish>(replay());
+            System sys = systemFor(
+                config, abo::Level::L1, baselineSeed(config, core, spec),
+                [](BankId) {
+                    return std::make_unique<mitigation::NullMitigator>();
+                });
+            SystemResult res = runSystem(sys, traces.views(), core);
+            value = std::make_shared<const Finish>(
+                std::move(res.coreFinish));
         } catch (...) {
             // A failed replay is never cached: drop the entry so the
             // next touch recomputes, and propagate the exception to
@@ -127,46 +138,6 @@ BaselineCache::getImpl(uint64_t key, const std::function<Finish()> &replay)
     return future.get();
 }
 
-std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::get(const workload::TraceGenConfig &config,
-                   const CoreModel &core, const workload::WorkloadSpec &spec,
-                   const workload::TraceSet &traces, bool sealed_dispatch)
-{
-    const uint64_t key =
-        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    return getImpl(key, [&]() {
-        System sys = systemFor(
-            config, abo::Level::L1, baselineSeed(config, core, spec),
-            [](BankId) {
-                return std::make_unique<mitigation::NullMitigator>();
-            },
-            sealed_dispatch);
-        SystemResult res = runSystem(sys, traces.views(), core);
-        return std::move(res.coreFinish);
-    });
-}
-
-std::shared_ptr<const BaselineCache::Finish>
-BaselineCache::get(const workload::TraceGenConfig &config,
-                   const CoreModel &core, const workload::WorkloadSpec &spec,
-                   bool sealed_dispatch)
-{
-    const uint64_t key =
-        hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    return getImpl(key, [&]() {
-        const workload::TraceSet traces(workload::generateTraces(spec,
-                                                                 config));
-        System sys = systemFor(
-            config, abo::Level::L1, baselineSeed(config, core, spec),
-            [](BankId) {
-                return std::make_unique<mitigation::NullMitigator>();
-            },
-            sealed_dispatch);
-        SystemResult res = runSystem(sys, traces.views(), core);
-        return std::move(res.coreFinish);
-    });
-}
-
 std::size_t
 BaselineCache::size() const
 {
@@ -179,11 +150,11 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::WorkloadSpec &spec,
             const mitigation::MitigatorSpec &mitigator, abo::Level level,
             const workload::TraceSet &traces,
-            const std::vector<Time> &baseline, bool sealed_dispatch)
+            const std::vector<Time> &baseline)
 {
     System sys = systemFor(config, level,
                            cellSeed(config, spec, mitigator, level),
-                           mitigator.factory(), sealed_dispatch);
+                           mitigator.factory());
     const SystemResult res = runSystem(sys, traces.views(), core);
 
     PerfResult out;

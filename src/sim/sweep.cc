@@ -55,24 +55,16 @@ SweepEngine::computeCell(const SweepCell &cell)
     // store, so an injected failure is never cached and a retried
     // request recomputes only the cells that failed.
     fault::failPoint("sweep.compute");
-    // One store fetch serves the cell and (on first touch of this
-    // workload) its baseline: each distinct trace of a matrix is
-    // generated exactly once. With the store disabled, the baseline
-    // falls back to the pre-store compute path (it regenerates its own
-    // traces), reproducing the pre-overhaul pipeline faithfully for
-    // the bench_sweep_scale reference and the determinism smoke.
+    // One fetch serves the cell and (on first touch of this workload)
+    // its baseline, so a baseline never generates traces of its own.
+    // With the store disabled the fetch generates afresh for every
+    // cell, and the baseline replays that same handout.
     const auto traces =
         config_.traceStore->get(cell.workload, config_.tracegen);
-    const auto base =
-        config_.traceStore->enabled()
-            ? baselines_->get(config_.tracegen, config_.core,
-                              cell.workload, *traces,
-                              config_.sealedDispatch)
-            : baselines_->get(config_.tracegen, config_.core,
-                              cell.workload, config_.sealedDispatch);
+    const auto base = baselines_->get(config_.tracegen, config_.core,
+                                      cell.workload, *traces);
     return runPerfCell(config_.tracegen, config_.core, cell.workload,
-                       cell.mitigator, cell.level, *traces, *base,
-                       config_.sealedDispatch);
+                       cell.mitigator, cell.level, *traces, *base);
 }
 
 std::vector<PerfResult>

@@ -14,12 +14,21 @@
  * back-pressures the instruction stream across all sub-channels a
  * core touches.
  *
+ * Cores are elastic: the intended gap between two activations is
+ * preserved (it represents the instructions executed between them),
+ * but a core may only run ahead of its outstanding memory requests by
+ * a bounded memory-level parallelism, so channel stalls (REF,
+ * ALERT/RFM) back-pressure the instruction stream. The per-core finish
+ * time is the measure of performance; the paper's normalized weighted
+ * speedup is the ratio of finish times against a no-ALERT baseline run
+ * of the identical traces.
+ *
  * The replay loop is the simulator's hot path, so it is flattened:
  * per-core in-flight completions live in fixed ring buffers (no deque
  * allocation per ACT), trace events are consumed through raw pointers,
- * and the sub-channels run the fastAlertScan path (see
- * subchannel/subchannel.hh). bench_core_loop measures the resulting
- * acts/sec against the pre-flattening loop.
+ * and the sub-channels track ALERT wants with a sticky flag instead of
+ * a per-ACT poll (see subchannel/subchannel.hh). bench_core_loop
+ * measures the resulting acts/sec.
  */
 
 #ifndef MOATSIM_SIM_SYSTEM_HH
@@ -30,12 +39,18 @@
 #include <vector>
 
 #include "common/time.hh"
-#include "sim/memsys.hh"
 #include "subchannel/subchannel.hh"
 #include "workload/tracegen.hh"
 
 namespace moatsim::sim
 {
+
+/** Core model parameters. */
+struct CoreModel
+{
+    /** Maximum outstanding activations per core. */
+    uint32_t mlp = 4;
+};
 
 /** Configuration of a multi-sub-channel system. */
 struct SystemConfig
@@ -147,8 +162,8 @@ class System
  * workload::TraceSet slab out of the TraceStore, or a CoreTrace owned
  * by the caller), so a whole sweep matrix replays one immutable copy
  * of each workload's trace. This is the implementation shared by every
- * replay entry point: the CoreTrace overload, runSystem(), and the
- * single-channel runMemSystem() wrapper.
+ * replay entry point: the CoreTrace overload and runSystem(); a
+ * single-sub-channel replay passes {&channel}.
  */
 SystemResult
 runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,

@@ -78,19 +78,12 @@ SubChannel::SubChannel(const SubChannelConfig &config,
                             : config_.timing.banksPerSubchannel;
     // The oracle's per-bank arrays (3 words per row) dominate the cost
     // of constructing a sub-channel; allocate them only for the banks
-    // whose ground truth a caller will read. The reference path keeps
-    // the eager allocation on every bank so the benches can A/B the
-    // pre-overhaul cost model.
+    // whose ground truth a caller will read.
     const SecurityBanks observed = config_.securityBanks;
     const size_t rows = config_.timing.rowsPerBank;
-    // One flat counter slab on every sealed channel: one allocation of
-    // numBanks x rowsPerBank entries rather than one per bank. Since
-    // the oracle is kept only on the banks a caller reads, the slab
-    // also serves the security and co-attack channels; the reference
-    // path keeps per-bank counter storage.
-    const bool slab = config_.sealedDispatch;
-    if (slab)
-        counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
+    // One flat counter slab backs every bank: one allocation of
+    // numBanks x rowsPerBank entries rather than one per bank.
+    counter_slab_.assign(static_cast<size_t>(nb) * rows, 0);
     banks_.reserve(nb);
     security_.reserve(nb);
     mitigators_.reserve(nb);
@@ -99,27 +92,18 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     mitigation_stats_.reserve(nb);
     bool observes_any = false;
     for (BankId b = 0; b < nb; ++b) {
-        if (slab) {
-            banks_.emplace_back(
-                config_.timing, config_.counterInit, &rng_,
-                std::span<ActCount>(counter_slab_.data() + b * rows,
-                                    rows));
-        } else {
-            banks_.emplace_back(config_.timing, config_.counterInit,
-                                &rng_);
-        }
+        banks_.emplace_back(
+            config_.timing, config_.counterInit, &rng_,
+            std::span<ActCount>(counter_slab_.data() + b * rows, rows));
         const bool tracked = observed.covers(b);
         observes_any = observes_any || tracked;
         security_.push_back(
-            tracked || !config_.sealedDispatch
-                ? std::make_unique<dram::SecurityMonitor>(
-                      config_.timing.rowsPerBank,
-                      config_.timing.blastRadius)
-                : nullptr);
+            tracked ? std::make_unique<dram::SecurityMonitor>(
+                          config_.timing.rowsPerBank,
+                          config_.timing.blastRadius)
+                    : nullptr);
         mitigators_.push_back(factory(b));
-        kinds_.push_back(config_.sealedDispatch
-                             ? mitigators_.back()->kind()
-                             : MitigatorKind::Custom);
+        kinds_.push_back(mitigators_.back()->kind());
         refresh_.emplace_back(config_.timing, config_.maxPostponedRefs);
         mitigation_stats_.emplace_back();
     }
@@ -190,8 +174,7 @@ SubChannel::activateAt(BankId bank, RowId row, Time not_before)
                        [&](auto &m) { m.onActivate(row, ctx); });
         // An ACT can only raise the activated bank's own want; the
         // sticky flag spares the per-ACT scan over every other bank.
-        if (config_.fastAlertScan &&
-            dispatchSealed(kind, mit,
+        if (dispatchSealed(kind, mit,
                            [](const auto &m) { return m.wantsAlert(); }))
             alert_wanted_sticky_ = true;
         ++stats_.acts;
@@ -277,8 +260,7 @@ SubChannel::processRefBoundary()
         performOneRef();
     // REF-time mitigation work can clear (or, via counter resets on
     // refresh, raise) wants on any bank; refresh the sticky flag.
-    if (config_.fastAlertScan)
-        alert_wanted_sticky_ = anyAlertWanted();
+    alert_wanted_sticky_ = anyAlertWanted();
     maybeAssertAlert(channel_busy_until_);
 }
 
@@ -324,8 +306,7 @@ SubChannel::serviceRfmBlock()
     abo_.completeAlert();
     rfm_block_pending_ = false;
     // RFM mitigation cleared wants on any subset of banks.
-    if (config_.fastAlertScan)
-        alert_wanted_sticky_ = anyAlertWanted();
+    alert_wanted_sticky_ = anyAlertWanted();
 }
 
 void
@@ -334,9 +315,8 @@ SubChannel::maybeAssertAlert(Time t)
     if (rfm_block_pending_)
         return;
     // The sticky flag is exact (see its invariant in the header), so
-    // the fast path replaces the all-banks wantsAlert() poll that
-    // otherwise dominates the per-ACT cost.
-    if (config_.fastAlertScan ? !alert_wanted_sticky_ : !anyAlertWanted())
+    // it replaces a per-ACT all-banks wantsAlert() poll.
+    if (!alert_wanted_sticky_)
         return;
     if (!abo_.canAssert(t))
         return;

@@ -108,29 +108,6 @@ struct SubChannelConfig
     SecurityBanks securityBanks = SecurityBanks::all();
     /** Number of banks; 0 means timing.banksPerSubchannel. */
     uint32_t numBanks = 0;
-    /**
-     * Track bank ALERT requests incrementally (a sticky flag updated
-     * at the single points where a mitigator's wantsAlert() can
-     * change) instead of polling every bank's mitigator on every ACT.
-     * Behaviour is bit-identical either way -- the flag exists so the
-     * flattened hot path can be benchmarked against the full per-ACT
-     * scan (bench_core_loop) and cross-checked in tests.
-     */
-    bool fastAlertScan = true;
-    /**
-     * Run the devirtualized hot path: per-ACT (and per-REF/RFM)
-     * mitigator hooks dispatch through a sealed MitigatorKind switch
-     * of direct calls into the five registry designs (anything else
-     * falls back to the virtual IMitigator interface), PRAC counters
-     * live in one flat slab, and the ground-truth oracle's multi-MB
-     * per-bank arrays are allocated only for the banks securityBanks
-     * tracks. false preserves the pre-overhaul reference path -- a
-     * virtual call per hook, per-bank counter allocations, and oracle
-     * state eagerly allocated on every bank -- so bench_core_loop and
-     * bench_sweep_scale can A/B the two; results are bit-identical
-     * either way (the same member functions run in the same order).
-     */
-    bool sealedDispatch = true;
     /** Maximum REFs that postponement may owe at once (DDR5: 2). */
     uint32_t maxPostponedRefs = 2;
     /** Seed for randomized counter initialization. */
@@ -229,11 +206,9 @@ class SubChannel
     }
 
     /**
-     * Ground-truth security monitor of a bank. Only available on banks
-     * the channel keeps the oracle for (those securityBanks tracks, or
-     * every bank on the reference path); elsewhere its storage is
-     * elided and this accessor fatal()s with a diagnostic naming the
-     * bank.
+     * Ground-truth security monitor of a bank. Only available on the
+     * banks securityBanks tracks; elsewhere its storage is elided and
+     * this accessor fatal()s with a diagnostic naming the bank.
      */
     dram::SecurityMonitor &security(BankId b) { return *requireOracle(b); }
     const dram::SecurityMonitor &security(BankId b) const
@@ -307,20 +282,18 @@ class SubChannel
     SubChannelConfig config_;
     Rng rng_;
     /**
-     * Flat PRAC-counter slab backing every bank (sealed path, with or
-     * without the oracle): one allocation of numBanks x rowsPerBank
-     * entries instead of one multi-hundred-KB allocation per bank.
-     * Declared before banks_ so it outlives the Bank spans into it.
-     * Empty on the reference path (banks own their counters, the
-     * pre-overhaul layout).
+     * Flat PRAC-counter slab backing every bank: one allocation of
+     * numBanks x rowsPerBank entries instead of one multi-hundred-KB
+     * allocation per bank. Declared before banks_ so it outlives the
+     * Bank spans into it.
      */
     std::vector<ActCount> counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;
     /** One slot per bank, null where the oracle is elided (banks
-     *  outside securityBanks on the sealed path); a monitor's arrays
-     *  are the dominant cost of constructing a sub-channel. */
+     *  outside securityBanks); a monitor's arrays are the dominant
+     *  cost of constructing a sub-channel. */
     std::vector<std::unique_ptr<dram::SecurityMonitor>> security_;
     std::vector<std::unique_ptr<mitigation::IMitigator>> mitigators_;
     /** Sealed dispatch tag per bank (Custom forces virtual calls). */
@@ -346,11 +319,10 @@ class SubChannel
     bool rfm_block_pending_ = false;
     bool postpone_refresh_ = false;
     /**
-     * Whether any bank's mitigator currently wants an ALERT, kept
-     * current by the fastAlertScan path: OR-ed with the activated
-     * bank's state after every ACT (the only place a want can appear)
-     * and recomputed after REF/RFM mitigation work (the only places a
-     * want can clear). Unused when fastAlertScan is off.
+     * Whether any bank's mitigator currently wants an ALERT: OR-ed
+     * with the activated bank's state after every ACT (the only place
+     * a want can appear) and recomputed after REF/RFM mitigation work
+     * (the only places a want can clear).
      */
     bool alert_wanted_sticky_ = false;
     /** Channel-level count of postponed (owed) REFs. */

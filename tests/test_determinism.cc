@@ -156,9 +156,11 @@ TEST(BaselineCache, KeyIncludesConfigNotJustWorkloadName)
     auto tg1 = smallTracegen();
     auto tg2 = smallTracegen();
     tg2.windowFraction *= 2;
+    const workload::TraceSet t1(workload::generateTraces(spec, tg1));
+    const workload::TraceSet t2(workload::generateTraces(spec, tg2));
 
-    const auto f1 = cache->get(tg1, CoreModel{}, spec);
-    const auto f2 = cache->get(tg2, CoreModel{}, spec);
+    const auto f1 = cache->get(tg1, CoreModel{}, spec, t1);
+    const auto f2 = cache->get(tg2, CoreModel{}, spec, t2);
     EXPECT_EQ(cache->size(), 2u);
     ASSERT_EQ(f1->size(), f2->size());
     // Twice the window means later finish times under config 2.
@@ -167,11 +169,11 @@ TEST(BaselineCache, KeyIncludesConfigNotJustWorkloadName)
     // Different core model, same tracegen: also a distinct entry.
     CoreModel core2;
     core2.mlp = 1;
-    cache->get(tg1, core2, spec);
+    cache->get(tg1, core2, spec, t1);
     EXPECT_EQ(cache->size(), 3u);
 
     // Re-requesting an existing key hits the cache.
-    const auto f1again = cache->get(tg1, CoreModel{}, spec);
+    const auto f1again = cache->get(tg1, CoreModel{}, spec, t1);
     EXPECT_EQ(cache->size(), 3u);
     EXPECT_EQ(f1.get(), f1again.get());
 }

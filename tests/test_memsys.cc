@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of the memory-system performance model (single-sub-channel
- * runMemSystem and the full-system sim::System replay) and the
+ * runOnSubChannels and the full-system sim::System replay) and the
  * PerfRunner.
  */
 
@@ -9,7 +9,6 @@
 
 #include "mitigation/null.hh"
 #include "mitigation/registry.hh"
-#include "sim/memsys.hh"
 #include "sim/perf.hh"
 #include "sim/system.hh"
 
@@ -47,7 +46,7 @@ TEST(MemSys, EmptyTracesFinishAtWindow)
     std::vector<workload::CoreTrace> traces(2);
     traces[0].window = fromNs(1000);
     traces[1].window = fromNs(1000);
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runOnSubChannels({&ch}, traces);
     EXPECT_EQ(r.totalActs, 0u);
     EXPECT_EQ(r.coreFinish[0], fromNs(1000));
 }
@@ -59,7 +58,7 @@ TEST(MemSys, SparseTraceFinishesNearWindow)
     auto ch = nullChannel(2);
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(100000), fromNs(1000), 0, 100, 50));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runOnSubChannels({&ch}, traces);
     EXPECT_NEAR(toNs(r.coreFinish[0]), 100000, 3000);
     EXPECT_EQ(r.totalActs, 50u);
 }
@@ -70,7 +69,7 @@ TEST(MemSys, DenseTraceIsBankLimited)
     auto ch = nullChannel(1);
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(100), 0, 0, 100, 100));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runOnSubChannels({&ch}, traces);
     EXPECT_GE(r.coreFinish[0], 100 * ch.timing().tRC);
 }
 
@@ -80,7 +79,7 @@ TEST(MemSys, TwoCoresShareTheChannelFairly)
     std::vector<workload::CoreTrace> traces;
     traces.push_back(simpleTrace(fromNs(50000), fromNs(100), 0, 100, 200));
     traces.push_back(simpleTrace(fromNs(50000), fromNs(100), 1, 200, 200));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runOnSubChannels({&ch}, traces);
     const double ratio = static_cast<double>(r.coreFinish[0]) /
                          static_cast<double>(r.coreFinish[1]);
     EXPECT_NEAR(ratio, 1.0, 0.1);
@@ -100,11 +99,11 @@ TEST(MemSys, MlpBoundsOutstandingRequests)
     auto ch1 = nullChannel(4);
     CoreModel m1;
     m1.mlp = 1;
-    const auto r1 = runMemSystem(ch1, traces, m1);
+    const auto r1 = runOnSubChannels({&ch1}, traces, m1);
     auto ch4 = nullChannel(4);
     CoreModel m4;
     m4.mlp = 4;
-    const auto r4 = runMemSystem(ch4, traces, m4);
+    const auto r4 = runOnSubChannels({&ch4}, traces, m4);
     EXPECT_LT(r4.coreFinish[0], r1.coreFinish[0]);
 }
 
@@ -114,7 +113,7 @@ TEST(MemSys, CountsRefsAndAlerts)
     std::vector<workload::CoreTrace> traces;
     traces.push_back(
         simpleTrace(10 * ch.timing().tREFI, fromNs(100), 0, 100, 300));
-    const MemSysResult r = runMemSystem(ch, traces);
+    const SystemResult r = runOnSubChannels({&ch}, traces);
     EXPECT_GE(r.refs, 8u);
     EXPECT_EQ(r.alerts, 0u);
 }
@@ -181,10 +180,10 @@ TEST(System, AggregatesAreTheSumOfSubChannels)
     EXPECT_EQ(r.perSubchannel[0].acts, r.perSubchannel[1].acts);
 }
 
-TEST(System, SingleSubChannelMatchesRunMemSystem)
+TEST(System, SingleSubChannelMatchesRunOnSubChannels)
 {
-    // The System loop with one sub-channel must reproduce the
-    // runMemSystem compatibility wrapper bit for bit.
+    // runSystem at N=1 must reproduce a replay on the bare sub-channel
+    // bit for bit.
     const auto moat = mitigation::Registry::parse("moat:ath=32,eth=16");
     std::vector<workload::CoreTrace> traces;
     traces.push_back(hammerTrace(0, 500));
@@ -196,7 +195,7 @@ TEST(System, SingleSubChannelMatchesRunMemSystem)
     subchannel::SubChannelConfig sc = moatSystem(1, 4).channel;
     sc.seed = sys.subchannel(0).config().seed; // same derived stream
     SubChannel ch(sc, moat.factory());
-    const MemSysResult b = runMemSystem(ch, traces);
+    const SystemResult b = runOnSubChannels({&ch}, traces);
 
     EXPECT_EQ(a.coreFinish, b.coreFinish);
     EXPECT_EQ(a.totalActs, b.totalActs);
@@ -204,26 +203,22 @@ TEST(System, SingleSubChannelMatchesRunMemSystem)
     EXPECT_EQ(a.alerts, b.alerts);
 }
 
-TEST(System, FastAlertScanIsBehaviourNeutral)
+TEST(System, StickyAlertFlagMatchesPerActPoll)
 {
-    // The sticky-flag ALERT path is a pure optimization: a full run
-    // with fastAlertScan off must match one with it on exactly.
+    // The sub-channel tracks ALERT wants with a sticky flag rather than
+    // polling every bank's mitigator on every ACT. These literals are
+    // what the per-ACT poll computed on this ALERT-heavy run; the flag
+    // must reproduce them exactly.
     const auto moat = mitigation::Registry::parse("moat:ath=32,eth=16");
     std::vector<workload::CoreTrace> traces;
     traces.push_back(hammerTrace(0, 800));
     traces.push_back(hammerTrace(1, 800));
 
-    SystemResult results[2];
-    for (const bool fast : {false, true}) {
-        SystemConfig cfg = moatSystem(2, 4);
-        cfg.channel.fastAlertScan = fast;
-        System sys(cfg, moat.factory());
-        results[fast ? 1 : 0] = runSystem(sys, traces);
-    }
-    EXPECT_EQ(results[0].coreFinish, results[1].coreFinish);
-    EXPECT_EQ(results[0].alerts, results[1].alerts);
-    EXPECT_EQ(results[0].refs, results[1].refs);
-    ASSERT_GT(results[0].alerts, 0u); // the comparison must bite
+    System sys(moatSystem(2, 4), moat.factory());
+    const SystemResult r = runSystem(sys, traces);
+    EXPECT_EQ(r.coreFinish, (std::vector<Time>{93824000, 93824000}));
+    EXPECT_EQ(r.alerts, 44u);
+    EXPECT_EQ(r.refs, 30u);
 }
 
 TEST(System, EmptyTracesFinishAtWindow)

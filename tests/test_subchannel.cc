@@ -9,6 +9,8 @@
 #include "mitigation/moat.hh"
 #include "mitigation/null.hh"
 #include "mitigation/panopticon.hh"
+#include "mitigation/registry.hh"
+#include "sim/system.hh"
 #include "subchannel/subchannel.hh"
 
 namespace moatsim::subchannel
@@ -210,24 +212,14 @@ TEST(SubChannel, StatsCountActs)
 
 TEST(SubChannel, SecurityDisabledSkipsTracking)
 {
-    // The sealed hot path elides the oracle's storage entirely when
-    // tracking is off; the aggregate view reports nothing tracked.
+    // The oracle's storage is elided entirely when tracking is off;
+    // the aggregate view reports nothing tracked.
     SubChannelConfig sc = baseConfig(1);
     sc.securityBanks = SecurityBanks::none();
     auto ch = nullChannel(sc);
     for (int i = 0; i < 10; ++i)
         ch.activate(0, 100);
     EXPECT_EQ(ch.maxHammerAnyBank(), 0u);
-
-    // The reference path keeps the monitor allocated (pre-overhaul
-    // cost model) but still tracks nothing.
-    SubChannelConfig ref = baseConfig(1);
-    ref.securityBanks = SecurityBanks::none();
-    ref.sealedDispatch = false;
-    auto ch_ref = nullChannel(ref);
-    for (int i = 0; i < 10; ++i)
-        ch_ref.activate(0, 100);
-    EXPECT_EQ(ch_ref.security(0).maxHammer(), 0u);
 }
 
 TEST(SubChannel, SingleBankScopeObservesOnlyThatBank)
@@ -303,6 +295,98 @@ TEST(SubChannelDeathTest, ScopeOutsideTheChannelIsRejected)
     sc.securityBanks = SecurityBanks::only(7);
     EXPECT_EXIT(nullChannel(sc), testing::ExitedWithCode(1),
                 "securityBanks names bank 7, outside the 4");
+}
+
+/**
+ * A design outside the registry: forwards every hook to an owned
+ * MoatMitigator but inherits kind() == Custom, so the sub-channel can
+ * only reach it through the virtual interface.
+ */
+class ForwardingMoat final : public mitigation::IMitigator
+{
+  public:
+    explicit ForwardingMoat(const mitigation::MoatConfig &config)
+        : inner_(config)
+    {
+    }
+
+    void onActivate(RowId row, mitigation::MitigationContext &ctx) override
+    {
+        inner_.onActivate(row, ctx);
+    }
+    void onRefCommand(mitigation::MitigationContext &ctx) override
+    {
+        inner_.onRefCommand(ctx);
+    }
+    void onAutoRefresh(RowId first, RowId last,
+                       mitigation::MitigationContext &ctx) override
+    {
+        inner_.onAutoRefresh(first, last, ctx);
+    }
+    void onAlertAsserted(mitigation::MitigationContext &ctx) override
+    {
+        inner_.onAlertAsserted(ctx);
+    }
+    void onRfm(mitigation::MitigationContext &ctx) override
+    {
+        inner_.onRfm(ctx);
+    }
+    bool wantsAlert() const override { return inner_.wantsAlert(); }
+    std::string name() const override { return "forwarding-moat"; }
+    uint32_t sramBytesPerBank() const override
+    {
+        return inner_.sramBytesPerBank();
+    }
+
+  private:
+    mitigation::MoatMitigator inner_;
+};
+
+TEST(SubChannel, CustomMitigatorMatchesSealedDispatch)
+{
+    // The virtual fallback of the sealed dispatch switch must run the
+    // same hooks in the same order as the devirtualized registry path.
+    const auto spec = mitigation::Registry::parse("moat:ath=32,eth=16");
+    const auto probe = spec.factory()(0);
+    ASSERT_EQ(probe->kind(), mitigation::MitigatorKind::Moat);
+    const mitigation::MoatConfig config =
+        static_cast<const mitigation::MoatMitigator &>(*probe).config();
+    ASSERT_EQ(ForwardingMoat(config).kind(),
+              mitigation::MitigatorKind::Custom);
+
+    // Two cores hammering one row per sub-channel: ALERT-heavy.
+    std::vector<workload::CoreTrace> traces(2);
+    for (uint32_t sc = 0; sc < 2; ++sc) {
+        traces[sc].window = fromNs(80000);
+        for (int i = 0; i < 800; ++i)
+            traces[sc].events.push_back(
+                {static_cast<Time>(i) * fromNs(60), 0, 7, sc});
+    }
+    sim::SystemConfig cfg;
+    cfg.channel.numBanks = 4;
+    cfg.channel.securityBanks = SecurityBanks::none();
+    cfg.subchannels = 2;
+
+    sim::System sealed(cfg, spec.factory());
+    sim::System custom(cfg, [&](BankId) {
+        return std::make_unique<ForwardingMoat>(config);
+    });
+    const sim::SystemResult a = sim::runSystem(sealed, traces);
+    const sim::SystemResult b = sim::runSystem(custom, traces);
+
+    EXPECT_EQ(a.coreFinish, b.coreFinish);
+    EXPECT_EQ(a.alerts, b.alerts);
+    EXPECT_EQ(a.refs, b.refs);
+    ASSERT_EQ(a.perSubchannel.size(), b.perSubchannel.size());
+    for (size_t i = 0; i < a.perSubchannel.size(); ++i)
+        EXPECT_EQ(a.perSubchannel[i].rfms, b.perSubchannel[i].rfms);
+    const auto ma = sealed.mitigationStats();
+    const auto mb = custom.mitigationStats();
+    EXPECT_EQ(ma.proactiveMitigations, mb.proactiveMitigations);
+    EXPECT_EQ(ma.alertMitigations, mb.alertMitigations);
+    EXPECT_EQ(ma.victimRefreshes, mb.victimRefreshes);
+    EXPECT_EQ(ma.counterResets, mb.counterResets);
+    ASSERT_GT(a.alerts, 0u); // the comparison must bite
 }
 
 TEST(SubChannel, RefreshResetsRowsDisabledKeepsCounters)

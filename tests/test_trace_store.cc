@@ -159,6 +159,33 @@ TEST(TraceStore, MatrixGeneratesEachDistinctTraceExactlyOnce)
     EXPECT_EQ(traceGenInvocations() - before, 3u);
 }
 
+TEST(TraceStore, DisabledMatrixGeneratesOncePerCell)
+{
+    // With the store off every cell generates its own traces, and the
+    // cell's baseline replays that same handout instead of generating
+    // a second copy: one generation per cell, none for baselines.
+    sim::SweepConfig sc;
+    sc.tracegen = smallTracegen();
+    sc.jobs = 1;
+    TraceStore::Config cfg;
+    cfg.enabled = false;
+    sc.traceStore = std::make_shared<TraceStore>(cfg);
+    sim::SweepEngine engine(sc);
+
+    std::vector<sim::SweepCell> cells;
+    for (const char *w : {"roms", "parest", "xz"}) {
+        for (const char *m : {"moat", "panopticon"}) {
+            cells.push_back({findWorkload(w),
+                             mitigation::Registry::parse(m),
+                             abo::Level::L1});
+        }
+    }
+
+    const uint64_t before = traceGenInvocations();
+    engine.run(cells);
+    EXPECT_EQ(traceGenInvocations() - before, 6u);
+}
+
 TEST(TraceStore, CacheOnAndOffAreBitIdenticalAtAnyJobs)
 {
     std::vector<sim::SweepCell> cells;
