@@ -51,8 +51,8 @@ main()
             "moat:ath=" + std::to_string(c.ath) +
             ",eth=" + std::to_string(c.ath / 2) +
             ",entries=" + std::to_string(c.level));
-        const auto perf =
-            exp.runWorkload(hot, spec, static_cast<abo::Level>(c.level));
+        const auto perf = exp.engine().runCell(
+            {hot, spec, static_cast<abo::Level>(c.level)});
 
         t.addRow({"MOAT-L" + std::to_string(c.level) +
                       " ATH=" + std::to_string(c.ath),

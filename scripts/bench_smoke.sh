@@ -35,10 +35,6 @@ for bench in "$BUILD_DIR"/bench_*; do
     name="$(basename "$bench")"
     case "$name" in
     *.* ) continue ;; # build byproducts, not binaries
-    bench_micro_ops )
-        # google-benchmark-driven; times itself and does not speak
-        # MOATSIM_JSONL, so it is not part of the smoke record.
-        continue ;;
     esac
     echo "=== $name (scale $SCALE)"
     start_ns="$(date +%s%N)"

@@ -180,4 +180,23 @@ test -s "$CHAOS_STORE/quarantine.jsonl" || {
   echo "FATAL: repair quarantined nothing" >&2
   exit 1
 }
+
+# CLI validation: perf, coattack, and client check every request they
+# build with the validateRunRequest the serve daemon applies, so an
+# out-of-range --fraction must fail fast -- exit 1 with the diagnostic
+# on stderr -- instead of printing NaN results, spinning, or running a
+# request the daemon would reject. The timeout bounds a regression to
+# the spinning case; its exit code (124) is not the expected 1.
+echo "CLI validation: out-of-range --fraction must be rejected"
+for fraction in 0 -1 2; do
+  status=0
+  timeout 60 "$BUILD_DIR/moatsim" perf --workload xz --fraction "$fraction" \
+    --result-store 0 > /dev/null 2> "$BUILD_DIR/bad_fraction.err" \
+    || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "fraction" "$BUILD_DIR/bad_fraction.err"; then
+    echo "FATAL: perf --fraction $fraction was not rejected (exit $status)" >&2
+    cat "$BUILD_DIR/bad_fraction.err" >&2
+    exit 1
+  fi
+done
 echo "determinism smoke passed"

@@ -8,7 +8,7 @@
  * annotated capability, so locking it through std::lock_guard is
  * invisible to the analysis; locking a moatsim::Mutex through a
  * MutexLock is not. All mutex-protected state in the concurrency core
- * (ThreadPool, TraceStore, BaselineCache, CoAttackEngine) is declared
+ * (ThreadPool, TraceStore, ComputeOnce, ResultStore) is declared
  * GUARDED_BY one of these, which is what lets the static-analysis CI
  * leg prove the lock discipline instead of sampling it under TSan.
  *

@@ -1,7 +1,6 @@
 #include "sim/coattack.hh"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "common/fault.hh"
@@ -13,27 +12,6 @@
 
 namespace moatsim::sim
 {
-
-namespace
-{
-
-/** The channel template of a co-attack System. The security oracle
- *  tracks @p observed: the attacked bank when the caller reads the
- *  attacker's exposure, nothing otherwise. */
-subchannel::SubChannelConfig
-coChannelConfig(const workload::TraceGenConfig &tg, abo::Level level,
-                uint64_t seed, subchannel::SecurityBanks observed)
-{
-    subchannel::SubChannelConfig sc;
-    sc.timing = tg.timing;
-    sc.numBanks = tg.banksSimulated;
-    sc.aboLevel = level;
-    sc.securityBanks = observed;
-    sc.seed = seed;
-    return sc;
-}
-
-} // namespace
 
 uint64_t
 coAttackCellSeed(const workload::TraceGenConfig &config,
@@ -92,50 +70,35 @@ runCoSystem(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::AttackTraceConfig &attack,
             uint32_t *attacker_max_hammer, const workload::TraceSet *benign)
 {
-    const uint32_t subchannels = std::max(1u, config.subchannels);
-    const uint32_t slots = std::max(1u, config.channels) *
-                           std::max(1u, config.ranks) * subchannels;
-    if (attack.subchannel >= slots)
-        fatal("runCoSystem: attack sub-channel slot " +
-              std::to_string(attack.subchannel) + " out of range (" +
-              std::to_string(slots) + " simulated)");
     if (attack.bank >= config.banksSimulated)
         fatal("runCoSystem: attack bank " + std::to_string(attack.bank) +
               " out of range (" + std::to_string(config.banksSimulated) +
               " simulated)");
 
-    // Benign traffic: the shared (store-cached) set when provided, a
-    // locally generated one otherwise. The attacker core rides along
-    // as one more borrowed view, so appending it never copies the
-    // benign slab.
-    std::unique_ptr<const workload::TraceSet> local;
-    if (benign == nullptr) {
-        local = std::make_unique<const workload::TraceSet>(
-            workload::generateTraces(spec, config));
-        benign = local.get();
-    }
-    const workload::AttackTrace at = workload::generateAttackTrace(attack);
-    std::vector<workload::CoreTraceView> views = benign->views();
-    if (!at.trace.events.empty())
-        views.push_back(workload::viewOf(at.trace));
-
     // The oracle only observes, so scoping it to what peakHammer reads
     // below -- the attacked bank -- leaves every result unchanged. The
     // channel template applies to every sub-channel slot, so each slot
     // tracks that bank id; the other slots' monitors go unread.
-    SystemConfig sys;
-    sys.channel = coChannelConfig(
+    System system = systemFor(
         config, level,
         coAttackCellSeed(config, spec, mitigator, level, attack),
         attacker_max_hammer != nullptr
-            ? subchannel::SecurityBanks::only(at.bank)
-            : subchannel::SecurityBanks::none());
-    sys.subchannels = subchannels;
-    sys.channels = std::max(1u, config.channels);
-    sys.ranks = std::max(1u, config.ranks);
-    System system(sys, mitigator.factory());
+            ? subchannel::SecurityBanks::only(attack.bank)
+            : subchannel::SecurityBanks::none(),
+        mitigator.factory());
+    if (attack.subchannel >= system.numSubchannels())
+        fatal("runCoSystem: attack sub-channel slot " +
+              std::to_string(attack.subchannel) + " out of range (" +
+              std::to_string(system.numSubchannels()) + " simulated)");
     system.setPostponeRefresh(
         workload::attackPostponesRefresh(attack.pattern));
+
+    // The attacker core rides along as one more borrowed view, so
+    // appending it never copies the shared benign slab.
+    const workload::AttackTrace at = workload::generateAttackTrace(attack);
+    std::vector<workload::CoreTraceView> views = benign->views();
+    if (!at.trace.events.empty())
+        views.push_back(workload::viewOf(at.trace));
 
     const SystemResult res = runSystem(system, views, core);
 
@@ -170,53 +133,25 @@ CoAttackEngine::baseline(const CoAttackCell &cell)
                       static_cast<uint64_t>(abo::levelValue(cell.level)));
     key = hashCombine(key, stableHash64("coattack-baseline"));
 
-    std::shared_future<std::shared_ptr<const Baseline>> future;
-    std::promise<std::shared_ptr<const Baseline>> promise;
-    bool compute = false;
-    {
-        MutexLock lock(mu_);
-        auto it = baselines_.find(key);
-        if (it == baselines_.end()) {
-            future = promise.get_future().share();
-            baselines_.emplace(key, future);
-            compute = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (compute) {
-        std::shared_ptr<Baseline> base;
-        try {
-            CoAttackScenario none;
-            none.pattern = "none";
-            const auto benign =
-                config_.traceStore->get(cell.workload, config_.tracegen);
-            const SystemResult res = runCoSystem(
-                config_.tracegen, config_.core, cell.workload,
-                cell.mitigator, cell.level,
-                resolveAttack(none, config_.tracegen), nullptr,
-                benign.get());
-            base = std::make_shared<Baseline>();
-            base->coreFinish = res.coreFinish;
-            base->totalActs = res.totalActs;
-            base->alerts = res.alerts;
-            base->refs = res.refs;
-            for (const auto &u : res.perSubchannel)
-                base->rfms += u.rfms;
-        } catch (...) {
-            // A failed baseline run is never cached: drop the entry so
-            // the next touch recomputes, and propagate the exception
-            // to every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                baselines_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(std::move(base));
-    }
-    return future.get();
+    return baselines_.get(key, [&] {
+        CoAttackScenario none;
+        none.pattern = "none";
+        const auto benign =
+            config_.traceStore->get(cell.workload, config_.tracegen);
+        const SystemResult res =
+            runCoSystem(config_.tracegen, config_.core, cell.workload,
+                        cell.mitigator, cell.level,
+                        resolveAttack(none, config_.tracegen), nullptr,
+                        benign.get());
+        auto base = std::make_shared<Baseline>();
+        base->coreFinish = res.coreFinish;
+        base->totalActs = res.totalActs;
+        base->alerts = res.alerts;
+        base->refs = res.refs;
+        for (const auto &u : res.perSubchannel)
+            base->rfms += u.rfms;
+        return std::shared_ptr<const Baseline>(std::move(base));
+    });
 }
 
 CoAttackResult
@@ -320,33 +255,11 @@ CoAttackEngine::run(const std::vector<CoAttackCell> &cells,
                     const CellSink &sink)
 {
     std::vector<CoAttackResult> results(cells.size());
-    // ThreadPool jobs must not throw (see SweepEngine::run): capture
-    // per-cell failures, keep the rest of the sweep running, rethrow
-    // the lowest failed index afterwards.
-    std::vector<std::exception_ptr> errors(cells.size());
-    const auto runOne = [&](size_t i) noexcept {
-        try {
-            results[i] = runCell(cells[i]);
-            if (sink)
-                sink(i, results[i]);
-        } catch (...) {
-            errors[i] = std::current_exception();
-        }
-    };
-    if (jobs_ <= 1 || cells.size() <= 1) {
-        for (size_t i = 0; i < cells.size(); ++i)
-            runOne(i);
-    } else {
-        ThreadPool pool(
-            std::min(jobs_, static_cast<unsigned>(cells.size())));
-        for (size_t i = 0; i < cells.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
-        pool.wait();
-    }
-    for (const auto &error : errors) {
-        if (error)
-            std::rethrow_exception(error);
-    }
+    fanOut(cells.size(), jobs_, [&](size_t i) {
+        results[i] = runCell(cells[i]);
+        if (sink)
+            sink(i, results[i]);
+    });
     return results;
 }
 

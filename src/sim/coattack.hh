@@ -24,14 +24,12 @@
 #define MOATSIM_SIM_COATTACK_HH
 
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/mutex.hh"
+#include "common/compute_once.hh"
 #include "mitigation/registry.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
@@ -147,9 +145,9 @@ uint64_t coAttackCellKey(const workload::TraceGenConfig &config,
  * core. When @p attacker_max_hammer is non-null it receives the peak
  * hammer count over the attacker's rows, and the security oracle
  * tracks the attacked bank only; when it is null no oracle is kept.
- * Neither changes the returned result: the oracle only observes. When
- * @p benign is non-null it supplies the benign traces (a shared
- * TraceStore handout); otherwise they are generated locally.
+ * Neither changes the returned result: the oracle only observes.
+ * @p benign (non-null) supplies the benign traces of (spec, config):
+ * the shared TraceStore handout every cell of the workload replays.
  */
 SystemResult runCoSystem(const workload::TraceGenConfig &config,
                          const CoreModel &core,
@@ -157,8 +155,8 @@ SystemResult runCoSystem(const workload::TraceGenConfig &config,
                          const mitigation::MitigatorSpec &mitigator,
                          abo::Level level,
                          const workload::AttackTraceConfig &attack,
-                         uint32_t *attacker_max_hammer = nullptr,
-                         const workload::TraceSet *benign = nullptr);
+                         uint32_t *attacker_max_hammer,
+                         const workload::TraceSet *benign);
 
 /** The AttackTraceConfig a scenario resolves to under a benign
  *  configuration (timing and window filled in). */
@@ -211,20 +209,16 @@ class CoAttackEngine
         uint64_t refs = 0;
     };
 
-    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell)
-        EXCLUDES(mu_);
+    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell);
 
     /** Simulate one cell (the result store's compute path). */
     CoAttackResult computeCell(const CoAttackCell &cell);
 
     SweepConfig config_;
     unsigned jobs_;
-    Mutex mu_;
-    /** Single-flight futures: concurrent first-requesters of one
-     *  (workload, mitigator, level) tuple block on one computation. */
-    std::unordered_map<uint64_t,
-                       std::shared_future<std::shared_ptr<const Baseline>>>
-        baselines_ GUARDED_BY(mu_);
+    /** Concurrent first-requesters of one (workload, mitigator,
+     *  level) tuple block on one computation. */
+    ComputeOnce<uint64_t, Baseline> baselines_;
 };
 
 /** Cross product: every workload at every (mitigator, level, attack)

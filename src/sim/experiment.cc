@@ -39,6 +39,20 @@ sweepConfigOf(const ExperimentConfig &config,
     return sc;
 }
 
+/** Split a flat point-major result vector into one row per point. */
+template <typename Result>
+std::vector<std::vector<Result>>
+rowsOf(const std::vector<Result> &flat, size_t points, size_t width)
+{
+    std::vector<std::vector<Result>> out(points);
+    for (size_t i = 0; i < points; ++i) {
+        out[i].assign(flat.begin() + static_cast<ptrdiff_t>(i * width),
+                      flat.begin() +
+                          static_cast<ptrdiff_t>((i + 1) * width));
+    }
+    return out;
+}
+
 } // namespace
 
 Experiment::Experiment(const ExperimentConfig &config)
@@ -72,7 +86,7 @@ Experiment::selectedWorkloads() const
 std::vector<PerfResult>
 Experiment::run()
 {
-    return run(config_.mitigator, config_.aboLevel);
+    return run(nullptr);
 }
 
 std::vector<PerfResult>
@@ -83,12 +97,6 @@ Experiment::run(const SweepEngine::CellSink &sink)
                        sink);
 }
 
-std::vector<PerfResult>
-Experiment::run(const mitigation::MitigatorSpec &mitigator, abo::Level level)
-{
-    return engine_.run(crossCells(selectedWorkloads(), {{mitigator, level}}));
-}
-
 std::vector<std::vector<PerfResult>>
 Experiment::runMatrix(const std::vector<SweepPoint> &points)
 {
@@ -97,33 +105,14 @@ Experiment::runMatrix(const std::vector<SweepPoint> &points)
     pts.reserve(points.size());
     for (const auto &p : points)
         pts.emplace_back(p.mitigator, p.level);
-
-    const auto flat = engine_.run(crossCells(workloads, pts));
-
-    std::vector<std::vector<PerfResult>> out(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        out[i].assign(flat.begin() + static_cast<ptrdiff_t>(
-                                         i * workloads.size()),
-                      flat.begin() + static_cast<ptrdiff_t>(
-                                         (i + 1) * workloads.size()));
-    }
-    return out;
-}
-
-PerfResult
-Experiment::runWorkload(const workload::WorkloadSpec &spec,
-                        const mitigation::MitigatorSpec &mitigator,
-                        abo::Level level)
-{
-    return engine_.runCell({spec, mitigator, level});
+    return rowsOf(engine_.run(crossCells(workloads, pts)), points.size(),
+                  workloads.size());
 }
 
 std::vector<CoAttackResult>
 Experiment::runCoAttack(const CoAttackScenario &attack)
 {
-    return coattack_.run(crossCoAttackCells(
-        selectedWorkloads(), {config_.mitigator}, config_.aboLevel,
-        attack));
+    return runCoAttack(attack, nullptr);
 }
 
 std::vector<CoAttackResult>
@@ -146,17 +135,7 @@ Experiment::runCoAttackMatrix(const std::vector<CoAttackPoint> &points)
         for (const auto &w : workloads)
             cells.push_back({w, p.mitigator, p.level, p.attack});
     }
-
-    const auto flat = coattack_.run(cells);
-
-    std::vector<std::vector<CoAttackResult>> out(points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        out[i].assign(flat.begin() + static_cast<ptrdiff_t>(
-                                         i * workloads.size()),
-                      flat.begin() + static_cast<ptrdiff_t>(
-                                         (i + 1) * workloads.size()));
-    }
-    return out;
+    return rowsOf(coattack_.run(cells), points.size(), workloads.size());
 }
 
 } // namespace moatsim::sim

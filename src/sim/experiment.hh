@@ -5,12 +5,13 @@
  * An Experiment bundles everything one run needs -- DRAM timing (via
  * the trace-generator config), ABO level, workload selection, the
  * mitigator spec, the seed, and the worker count -- so the CLI, the
- * benches, and the examples all drive the same code path instead of
- * hand-assembling PerfRunner calls. The Experiment owns a SweepEngine
- * (sim/sweep.hh), so every run fans its cells across the engine's
- * work-stealing pool and the cached no-ALERT baselines are shared
- * across every design/level evaluated through it. Design-space sweeps
- * call runMatrix() with the full point list so the whole matrix
+ * benches, the examples, and the serve daemon all drive the same code
+ * path. The Experiment owns a SweepEngine and a CoAttackEngine
+ * (sim/sweep.hh, sim/coattack.hh) sharing one trace store and one
+ * result store, so every run fans its cells across the engines' pools
+ * and the cached baselines are shared across every design/level
+ * evaluated through it. Design-space sweeps call runMatrix() or
+ * runCoAttackMatrix() with the full point list so the whole matrix
  * parallelizes as one batch; results are bit-identical at any jobs
  * count.
  */
@@ -131,25 +132,14 @@ class Experiment
     std::vector<PerfResult> run(const SweepEngine::CellSink &sink);
 
     /**
-     * Run the same workload selection with a different design and/or
-     * ABO level; the no-ALERT baselines are shared, so sweeps only pay
-     * for the mitigated runs.
-     */
-    std::vector<PerfResult> run(const mitigation::MitigatorSpec &mitigator,
-                                abo::Level level);
-
-    /**
-     * Run the workload selection at every sweep point as one parallel
-     * batch; result [i][w] is point i on workload w. Equivalent to
-     * (but much faster than) calling run() per point.
+     * Run the workload selection at every (design, level) point as one
+     * parallel batch; result [i][w] is point i on workload w. The
+     * no-ALERT baselines are shared across points, so a sweep only
+     * pays for the mitigated runs. One workload at one point is
+     * engine().runCell().
      */
     std::vector<std::vector<PerfResult>>
     runMatrix(const std::vector<SweepPoint> &points);
-
-    /** One workload with an explicit design/level (sweep inner loop). */
-    PerfResult runWorkload(const workload::WorkloadSpec &spec,
-                           const mitigation::MitigatorSpec &mitigator,
-                           abo::Level level);
 
     /**
      * Run the adversary-under-load scenario: the workload selection

@@ -1,8 +1,5 @@
 #include "sim/perf.hh"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/hash.hh"
 #include "mitigation/null.hh"
 #include "sim/system.hh"
@@ -12,35 +9,6 @@ namespace moatsim::sim
 
 namespace
 {
-
-subchannel::SubChannelConfig
-channelConfigFor(const workload::TraceGenConfig &tg, abo::Level level,
-                 uint64_t seed)
-{
-    subchannel::SubChannelConfig sc;
-    sc.timing = tg.timing;
-    sc.numBanks = tg.banksSimulated;
-    sc.aboLevel = level;
-    // Perf runs never read the damage oracle.
-    sc.securityBanks = subchannel::SecurityBanks::none();
-    sc.seed = seed;
-    return sc;
-}
-
-/** The full system a perf run simulates: tracegen.subchannels
- *  sub-channels per (channel, rank), each configured by
- *  channelConfigFor. */
-System
-systemFor(const workload::TraceGenConfig &tg, abo::Level level,
-          uint64_t seed, const subchannel::SubChannel::MitigatorFactory &f)
-{
-    SystemConfig sys;
-    sys.channel = channelConfigFor(tg, level, seed);
-    sys.subchannels = std::max(1u, tg.subchannels);
-    sys.channels = std::max(1u, tg.channels);
-    sys.ranks = std::max(1u, tg.ranks);
-    return System(sys, f);
-}
 
 /** Seed of the no-ALERT baseline run of @p spec (mitigator-free key). */
 uint64_t
@@ -95,53 +63,20 @@ BaselineCache::get(const workload::TraceGenConfig &config,
 {
     const uint64_t key =
         hashCombine(perfConfigKey(config, core), stableHash64(spec.name));
-    std::shared_future<std::shared_ptr<const Finish>> future;
-    std::promise<std::shared_ptr<const Finish>> promise;
-    bool compute = false;
-    {
-        MutexLock lock(mu_);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            future = promise.get_future().share();
-            entries_.emplace(key, future);
-            compute = true;
-        } else {
-            future = it->second;
-        }
-    }
-    // The replay runs outside the lock: only the winning requester
-    // computes, every other one blocks on its shared future.
-    if (compute) {
-        std::shared_ptr<const Finish> value;
-        try {
-            System sys = systemFor(
-                config, abo::Level::L1, baselineSeed(config, core, spec),
-                [](BankId) {
-                    return std::make_unique<mitigation::NullMitigator>();
-                });
-            SystemResult res = runSystem(sys, traces.views(), core);
-            value = std::make_shared<const Finish>(
-                std::move(res.coreFinish));
-        } catch (...) {
-            // A failed replay is never cached: drop the entry so the
-            // next touch recomputes, and propagate the exception to
-            // every waiter blocked on the shared future.
-            {
-                MutexLock lock(mu_);
-                entries_.erase(key);
-            }
-            promise.set_exception(std::current_exception());
-            throw;
-        }
-        promise.set_value(value);
-    }
-    return future.get();
+    return entries_.get(key, [&] {
+        System sys = systemFor(
+            config, abo::Level::L1, baselineSeed(config, core, spec),
+            subchannel::SecurityBanks::none(), [](BankId) {
+                return std::make_unique<mitigation::NullMitigator>();
+            });
+        return std::make_shared<const Finish>(
+            runSystem(sys, traces.views(), core).coreFinish);
+    });
 }
 
 std::size_t
 BaselineCache::size() const
 {
-    MutexLock lock(mu_);
     return entries_.size();
 }
 
@@ -152,8 +87,10 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             const workload::TraceSet &traces,
             const std::vector<Time> &baseline)
 {
+    // Perf runs never read the damage oracle.
     System sys = systemFor(config, level,
                            cellSeed(config, spec, mitigator, level),
+                           subchannel::SecurityBanks::none(),
                            mitigator.factory());
     const SystemResult res = runSystem(sys, traces.views(), core);
 
@@ -219,49 +156,6 @@ runPerfCell(const workload::TraceGenConfig &config, const CoreModel &core,
             static_cast<double>(res.totalActs);
     }
     return out;
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config,
-                       CoreModel core)
-    : PerfRunner(config, core, std::make_shared<BaselineCache>())
-{
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-                       std::shared_ptr<BaselineCache> baselines)
-    : PerfRunner(config, core, std::move(baselines),
-                 std::make_shared<workload::TraceStore>())
-{
-}
-
-PerfRunner::PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-                       std::shared_ptr<BaselineCache> baselines,
-                       std::shared_ptr<workload::TraceStore> traces)
-    : config_(config),
-      core_(core),
-      baselines_(std::move(baselines)),
-      traces_(std::move(traces))
-{
-}
-
-PerfResult
-PerfRunner::run(const workload::WorkloadSpec &spec,
-                const mitigation::MitigatorSpec &mitigator, abo::Level level)
-{
-    const auto traces = traces_->get(spec, config_);
-    const auto base = baselines_->get(config_, core_, spec, *traces);
-    return runPerfCell(config_, core_, spec, mitigator, level, *traces,
-                       *base);
-}
-
-std::vector<PerfResult>
-PerfRunner::runSuite(const mitigation::MitigatorSpec &mitigator,
-                     abo::Level level)
-{
-    std::vector<PerfResult> results;
-    for (const auto &spec : workload::table4Workloads())
-        results.push_back(run(spec, mitigator, level));
-    return results;
 }
 
 double

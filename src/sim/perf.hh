@@ -22,14 +22,12 @@
 #ifndef MOATSIM_SIM_PERF_HH
 #define MOATSIM_SIM_PERF_HH
 
-#include <future>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "abo/abo.hh"
-#include "common/mutex.hh"
+#include "common/compute_once.hh"
 #include "mitigation/registry.hh"
 #include "sim/system.hh"
 #include "workload/spec.hh"
@@ -123,7 +121,8 @@ uint64_t perfCellKey(const workload::TraceGenConfig &config,
  * cache may serve sweeps with different trace/core configurations
  * without serving stale times (a workload name alone is NOT a valid
  * key). Each distinct key is computed exactly once; concurrent
- * requesters of the same key block on the first computation.
+ * requesters of the same key block on the first computation, and a
+ * failed replay is never cached (common/compute_once.hh).
  */
 class BaselineCache
 {
@@ -139,24 +138,19 @@ class BaselineCache
     std::shared_ptr<const Finish> get(const workload::TraceGenConfig &config,
                                       const CoreModel &core,
                                       const workload::WorkloadSpec &spec,
-                                      const workload::TraceSet &traces)
-        EXCLUDES(mu_);
+                                      const workload::TraceSet &traces);
 
     /** Number of distinct baselines computed so far. */
-    std::size_t size() const EXCLUDES(mu_);
+    std::size_t size() const;
 
   private:
-    mutable Mutex mu_;
-    std::unordered_map<uint64_t,
-                       std::shared_future<std::shared_ptr<const Finish>>>
-        entries_ GUARDED_BY(mu_);
+    ComputeOnce<uint64_t, Finish> entries_;
 };
 
 /**
  * Run one sweep cell given its traces and precomputed baseline finish
  * times. Pure function of its arguments (the cell seed is derived
- * internally via cellSeed), shared by PerfRunner and the SweepEngine
- * workers. @p traces is the shared TraceSet of (spec, config) --
+ * internally via cellSeed), run by the SweepEngine workers. @p traces is the shared TraceSet of (spec, config) --
  * typically a TraceStore handout replayed by every cell of the
  * matrix.
  */
@@ -167,52 +161,6 @@ PerfResult runPerfCell(const workload::TraceGenConfig &config,
                        abo::Level level,
                        const workload::TraceSet &traces,
                        const std::vector<Time> &baseline);
-
-/** Runs workloads against mitigator configurations with caching. */
-class PerfRunner
-{
-  public:
-    explicit PerfRunner(const workload::TraceGenConfig &config,
-                        CoreModel core = CoreModel{});
-
-    /** Share a baseline cache with other runners / a sweep engine. */
-    PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-               std::shared_ptr<BaselineCache> baselines);
-
-    /** Share both the baseline cache and the trace store. */
-    PerfRunner(const workload::TraceGenConfig &config, CoreModel core,
-               std::shared_ptr<BaselineCache> baselines,
-               std::shared_ptr<workload::TraceStore> traces);
-
-    /** Run one workload against any registered mitigator design. */
-    PerfResult run(const workload::WorkloadSpec &spec,
-                   const mitigation::MitigatorSpec &mitigator,
-                   abo::Level level = abo::Level::L1);
-
-    /** Run every Table-4 workload; returns per-workload results. */
-    std::vector<PerfResult> runSuite(const mitigation::MitigatorSpec &mitigator,
-                                     abo::Level level = abo::Level::L1);
-
-    const workload::TraceGenConfig &config() const { return config_; }
-
-    /** The baseline cache (shared with any co-owning sweep engine). */
-    const std::shared_ptr<BaselineCache> &baselines() const
-    {
-        return baselines_;
-    }
-
-    /** The trace store (shared with any co-owning sweep engine). */
-    const std::shared_ptr<workload::TraceStore> &traceStore() const
-    {
-        return traces_;
-    }
-
-  private:
-    workload::TraceGenConfig config_;
-    CoreModel core_;
-    std::shared_ptr<BaselineCache> baselines_;
-    std::shared_ptr<workload::TraceStore> traces_;
-};
 
 /** Average normPerf across results (the paper's Gmean bar). */
 double meanNormPerf(const std::vector<PerfResult> &results);

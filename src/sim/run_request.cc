@@ -18,14 +18,6 @@ namespace moatsim::sim
 namespace
 {
 
-abo::Level
-levelOf(uint64_t l)
-{
-    if (l != 1 && l != 2 && l != 4)
-        fatal("--level must be 1, 2, or 4");
-    return static_cast<abo::Level>(l);
-}
-
 /** Strict base-10 uint64 parse of a bare JSON number token. */
 bool
 parseU64(const std::string &text, uint64_t *out)
@@ -142,6 +134,28 @@ fail(const std::string &what, std::string *err)
 
 } // namespace
 
+abo::Level
+levelOf(uint64_t l)
+{
+    if (l != 1 && l != 2 && l != 4)
+        fatal("--level must be 1, 2, or 4");
+    return static_cast<abo::Level>(l);
+}
+
+void
+rejectLegacyWithSpec(const Args &args,
+                     std::initializer_list<const char *> legacy)
+{
+    if (!args.has("mitigator"))
+        return;
+    for (const char *flag : legacy) {
+        if (args.has(flag))
+            fatal(std::string("--") + flag +
+                  " conflicts with --mitigator; put the parameter in "
+                  "the spec (see list-mitigators)");
+    }
+}
+
 mitigation::MitigatorSpec
 withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
                      abo::Level level)
@@ -158,13 +172,8 @@ withMoatLevelEntries(const mitigation::MitigatorSpec &spec,
 mitigation::MitigatorSpec
 mitigatorOfArgs(const Args &args, abo::Level level)
 {
+    rejectLegacyWithSpec(args, {"ath", "eth"});
     if (args.has("mitigator")) {
-        for (const char *flag : {"ath", "eth"}) {
-            if (args.has(flag))
-                fatal(std::string("--") + flag +
-                      " conflicts with --mitigator; put the parameter "
-                      "in the spec (see list-mitigators)");
-        }
         return withMoatLevelEntries(
             mitigation::Registry::parse(args.get("mitigator", "moat")),
             level);

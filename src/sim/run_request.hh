@@ -22,6 +22,7 @@
 #define MOATSIM_SIM_RUN_REQUEST_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "abo/abo.hh"
@@ -81,6 +82,17 @@ struct RunRequest
     /** Attack-trace seed. */
     uint64_t attackSeed = 1;
 };
+
+/** The ABO level of a --level flag value; fatal()s unless 1, 2, or 4
+ *  (CLI codec). */
+abo::Level levelOf(uint64_t l);
+
+/**
+ * fatal() when --mitigator is present together with any of the
+ * @p legacy design flags it would silently override (CLI codec).
+ */
+void rejectLegacyWithSpec(const Args &args,
+                          std::initializer_list<const char *> legacy);
 
 /**
  * MOAT-L couples the tracker size to the ABO level (Appendix D). When

@@ -77,36 +77,42 @@ std::vector<PerfResult>
 SweepEngine::run(const std::vector<SweepCell> &cells, const CellSink &sink)
 {
     std::vector<PerfResult> results(cells.size());
-    // ThreadPool jobs must not throw, so every cell captures its own
-    // failure; the sweep keeps running the remaining cells (their
-    // results still land in the store) and rethrows the lowest failed
-    // index afterwards -- which error surfaces is schedule-independent.
-    std::vector<std::exception_ptr> errors(cells.size());
-    const auto runOne = [&](size_t i) noexcept {
+    fanOut(cells.size(), jobs_, [&](size_t i) {
+        results[i] = runCell(cells[i]);
+        if (sink)
+            sink(i, results[i]);
+    });
+    return results;
+}
+
+void
+fanOut(size_t n, unsigned jobs, const std::function<void(size_t)> &runOne)
+{
+    // ThreadPool jobs must not throw, so every index captures its own
+    // failure.
+    std::vector<std::exception_ptr> errors(n);
+    const auto guarded = [&](size_t i) noexcept {
         try {
-            results[i] = runCell(cells[i]);
-            if (sink)
-                sink(i, results[i]);
+            runOne(i);
         } catch (...) {
             errors[i] = std::current_exception();
         }
     };
-    if (jobs_ <= 1 || cells.size() <= 1) {
-        for (size_t i = 0; i < cells.size(); ++i)
-            runOne(i);
+    if (jobs <= 1 || n <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            guarded(i);
     } else {
         // No point spinning up more workers than there are cells.
         ThreadPool pool(
-            std::min(jobs_, static_cast<unsigned>(cells.size())));
-        for (size_t i = 0; i < cells.size(); ++i)
-            pool.submit([&runOne, i] { runOne(i); });
+            static_cast<unsigned>(std::min<size_t>(jobs, n)));
+        for (size_t i = 0; i < n; ++i)
+            pool.submit([&guarded, i] { guarded(i); });
         pool.wait();
     }
     for (const auto &error : errors) {
         if (error)
             std::rethrow_exception(error);
     }
-    return results;
 }
 
 std::vector<SweepCell>

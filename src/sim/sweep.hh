@@ -88,7 +88,7 @@ class SweepEngine
   public:
     explicit SweepEngine(const SweepConfig &config);
 
-    /** Share a baseline cache with other engines / PerfRunners. */
+    /** Share a baseline cache with other engines. */
     SweepEngine(const SweepConfig &config,
                 std::shared_ptr<BaselineCache> baselines);
 
@@ -147,6 +147,17 @@ class SweepEngine
     unsigned jobs_;
     std::shared_ptr<BaselineCache> baselines_;
 };
+
+/**
+ * The fan-out behind both sweep engines' run(): call @p runOne(i) for
+ * every i in [0, n) -- inline on the calling thread when @p jobs <= 1
+ * or n <= 1, else on a ThreadPool of min(jobs, n) workers. A failing
+ * index does not stop the others (their results still reach the
+ * result store); afterwards the exception of the lowest failed index
+ * is rethrown, so which error surfaces is schedule-independent.
+ */
+void fanOut(size_t n, unsigned jobs,
+            const std::function<void(size_t)> &runOne);
 
 /** Cross product: every workload at every (mitigator, level) point. */
 std::vector<SweepCell>

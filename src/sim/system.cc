@@ -48,6 +48,23 @@ System::System(const SystemConfig &config,
     }
 }
 
+System
+systemFor(const workload::TraceGenConfig &tg, abo::Level level,
+          uint64_t seed, subchannel::SecurityBanks observed,
+          const subchannel::SubChannel::MitigatorFactory &factory)
+{
+    SystemConfig sys;
+    sys.channel.timing = tg.timing;
+    sys.channel.numBanks = tg.banksSimulated;
+    sys.channel.aboLevel = level;
+    sys.channel.securityBanks = observed;
+    sys.channel.seed = seed;
+    sys.subchannels = std::max(1u, tg.subchannels);
+    sys.channels = std::max(1u, tg.channels);
+    sys.ranks = std::max(1u, tg.ranks);
+    return System(sys, factory);
+}
+
 void
 System::setPostponeRefresh(bool on)
 {

@@ -176,6 +176,18 @@ runOnSubChannels(const std::vector<subchannel::SubChannel *> &channels,
                  const std::vector<workload::CoreTrace> &traces,
                  const CoreModel &core = CoreModel{});
 
+/**
+ * The System a sweep cell simulates under @p tg: tg.channels x
+ * tg.ranks x tg.subchannels slots (each count at least 1) of
+ * tg.banksSimulated banks at tg.timing and ABO @p level, seeded from
+ * @p seed, with the security oracle on the @p observed banks of every
+ * slot. The one TraceGenConfig -> System mapping that perf cells,
+ * their no-ALERT baselines, and co-attack runs share.
+ */
+System systemFor(const workload::TraceGenConfig &tg, abo::Level level,
+                 uint64_t seed, subchannel::SecurityBanks observed,
+                 const subchannel::SubChannel::MitigatorFactory &factory);
+
 /** Replay @p traces on @p system until every core consumed its trace. */
 SystemResult runSystem(System &system,
                        const std::vector<workload::CoreTraceView> &traces,

@@ -145,14 +145,6 @@ using namespace moatsim;
 namespace
 {
 
-abo::Level
-levelOf(uint64_t l)
-{
-    if (l != 1 && l != 2 && l != 4)
-        fatal("--level must be 1, 2, or 4");
-    return static_cast<abo::Level>(l);
-}
-
 /** The --mitigator spec, or the parsed @p def when absent. */
 mitigation::MitigatorSpec
 mitigatorArg(const Args &args, const std::string &def)
@@ -198,20 +190,6 @@ deviceArg(const Args &args)
     return dram::DeviceSpec::parse(text).describe();
 }
 
-/** Reject legacy design flags that would silently fight --mitigator. */
-void
-rejectLegacyWithSpec(const Args &args,
-                     std::initializer_list<const char *> legacy)
-{
-    if (!args.has("mitigator"))
-        return;
-    for (const char *flag : legacy) {
-        if (args.has(flag))
-            fatal(std::string("--") + flag + " conflicts with --mitigator; "
-                  "put the parameter in the spec (see list-mitigators)");
-    }
-}
-
 int
 cmdBound(const Args &args)
 {
@@ -230,9 +208,9 @@ cmdBound(const Args &args)
 int
 cmdRatchet(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"ath", "eth"});
+    sim::rejectLegacyWithSpec(args, {"ath", "eth"});
     attacks::RatchetConfig cfg;
-    cfg.aboLevel = levelOf(args.getInt("level", 1));
+    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
     cfg.moat = mitigation::moatConfigOf(sim::withMoatLevelEntries(
         mitigatorArg(args, "moat"), cfg.aboLevel));
     if (args.has("ath")) {
@@ -256,7 +234,7 @@ cmdRatchet(const Args &args)
 int
 cmdJailbreak(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"queue", "threshold"});
+    sim::rejectLegacyWithSpec(args, {"queue", "threshold"});
     attacks::JailbreakConfig cfg;
     cfg.panopticon =
         mitigation::panopticonConfigOf(mitigatorArg(args, "panopticon"));
@@ -281,7 +259,7 @@ cmdJailbreak(const Args &args)
 int
 cmdFeinting(const Args &args)
 {
-    rejectLegacyWithSpec(args, {"rate"});
+    sim::rejectLegacyWithSpec(args, {"rate"});
     attacks::FeintingConfig cfg;
     const auto prc =
         mitigation::idealPrcConfigOf(mitigatorArg(args, "ideal-prc"));
@@ -344,7 +322,7 @@ cmdAttack(const Args &args)
 {
     attacks::AttackConfig cfg;
     cfg.pattern = args.get("pattern", "hammer");
-    cfg.aboLevel = levelOf(args.getInt("level", 1));
+    cfg.aboLevel = sim::levelOf(args.getInt("level", 1));
     // A named device grade swaps in that grade's timings (geometry
     // included); attacks keep hammering one bank either way.
     const std::string device = deviceArg(args);
@@ -404,6 +382,30 @@ printResultStoreStats(const sim::ResultStore &store)
                  st.entries);
 }
 
+/** fatal() with the serve daemon's diagnostic unless @p req is valid:
+ *  the CLI runs a request only if the daemon would. */
+void
+requireValid(const sim::RunRequest &req)
+{
+    std::string err;
+    if (!sim::validateRunRequest(req, &err))
+        fatal(err);
+}
+
+/** Append @p results to the --jsonl file, when one is named. */
+template <typename Result>
+void
+appendJsonl(const Args &args, const std::vector<Result> &results)
+{
+    const std::string jsonl = args.get("jsonl", "");
+    if (jsonl.empty())
+        return;
+    std::ofstream os(jsonl, std::ios::app);
+    if (!os)
+        fatal("cannot open --jsonl file " + jsonl);
+    sim::writeJsonLines(os, results);
+}
+
 /** "a / b / c" column joining one value per sub-channel. */
 std::string
 perSubchannelColumn(const std::vector<sim::SubChannelPerf> &per,
@@ -435,10 +437,10 @@ cmdPerf(const Args &args)
     // The device axis: each named grade is its own experiment (its
     // timings and topology reshape every trace), all results landing in
     // one table sequence and one --jsonl file.
-    const std::string jsonl = args.get("jsonl", "");
     for (const std::string &device : deviceListArg(args)) {
         sim::RunRequest req = base;
         req.device = device;
+        requireValid(req);
         const sim::ExperimentConfig ec = sim::experimentConfigOf(req);
         sim::Experiment exp(ec, stores);
         const auto results = exp.run();
@@ -481,13 +483,7 @@ cmdPerf(const Args &args)
             t.addRow(row);
         }
         t.print(std::cout);
-
-        if (!jsonl.empty()) {
-            std::ofstream os(jsonl, std::ios::app);
-            if (!os)
-                fatal("cannot open --jsonl file " + jsonl);
-            sim::writeJsonLines(os, results);
-        }
+        appendJsonl(args, results);
     }
     printResultStoreStats(*stores.results);
     return 0;
@@ -498,13 +494,8 @@ cmdCoattack(const Args &args)
 {
     sim::RunRequest req = sim::runRequestOfArgs("coattack", args);
     req.device = deviceArg(args);
-
-    // The attacker pins one replay slot; a named device grade may
-    // multiply the slot count by channels x ranks.
+    requireValid(req);
     const uint32_t slots = sim::slotCountOf(req);
-    if (req.attackSubchannel >= slots)
-        fatal("--attack-subchannel must be below the sub-channel slot "
-              "count (" + std::to_string(slots) + ")");
 
     sim::ExperimentStores stores;
     stores.results =
@@ -533,14 +524,7 @@ cmdCoattack(const Args &args)
                       std::to_string(r.attackFreeRfms) + ")"});
     }
     t.print(std::cout);
-
-    const std::string jsonl = args.get("jsonl", "");
-    if (!jsonl.empty()) {
-        std::ofstream os(jsonl, std::ios::app);
-        if (!os)
-            fatal("cannot open --jsonl file " + jsonl);
-        sim::writeJsonLines(os, results);
-    }
+    appendJsonl(args, results);
     printResultStoreStats(*stores.results);
     return 0;
 }
@@ -586,6 +570,7 @@ cmdClient(const Args &args)
     sim::RunRequest req =
         sim::runRequestOfArgs(args.get("kind", "perf"), args);
     req.device = deviceArg(args);
+    requireValid(req);
     // --retries re-sends on retryable failures (daemon restarting,
     // injected faults, truncated reply streams) with a deterministic
     // seeded backoff; the daemon's result store makes every retry

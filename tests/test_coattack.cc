@@ -84,8 +84,10 @@ TEST(CoAttack, AttackFreeCoRunEqualsPlainSystemReplay)
     CoAttackScenario none;
     none.pattern = "none";
     const auto attack = resolveAttack(none, tg);
+    const workload::TraceSet benign(workload::generateTraces(spec, tg));
     const SystemResult co = runCoSystem(tg, CoreModel{}, spec, m,
-                                        abo::Level::L1, attack);
+                                        abo::Level::L1, attack, nullptr,
+                                        &benign);
 
     // The same replay, hand-assembled without the co-attack layer.
     System sys = manualSystem(
@@ -148,6 +150,7 @@ TEST(CoAttack, SharedMaxHammerNeverExceedsIsolated)
 {
     const auto tg = smallTracegen();
     const auto &spec = workload::findWorkload("roms");
+    const workload::TraceSet benign(workload::generateTraces(spec, tg));
 
     for (const char *mname : {"moat", "panopticon", "null"}) {
         for (const char *pattern : {"hammer", "round-robin"}) {
@@ -158,7 +161,7 @@ TEST(CoAttack, SharedMaxHammerNeverExceedsIsolated)
 
             uint32_t shared = 0;
             runCoSystem(tg, CoreModel{}, spec, m, abo::Level::L1, attack,
-                        &shared);
+                        &shared, &benign);
 
             // Isolated: the identical open-loop trace with no victim
             // traffic on an identically seeded System.

@@ -2,8 +2,8 @@
  * @file
  * Determinism guarantees of the parallel sweep engine: the same sweep
  * must produce bit-identical PerfResult vectors at jobs=1, jobs=2, and
- * jobs=8 (catches RNG or schedule leaks between cells), match the
- * serial PerfRunner path, and the baseline cache must key on the full
+ * jobs=8 (catches RNG or schedule leaks between cells), match cells
+ * run one at a time, and the baseline cache must key on the full
  * configuration, not just the workload name.
  */
 
@@ -95,7 +95,7 @@ TEST(SweepDeterminism, MultiSubChannelBitIdenticalAcrossJobCounts)
         EXPECT_EQ(r.perSubchannel.size(), 2u);
 }
 
-TEST(SweepDeterminism, MatchesSerialPerfRunner)
+TEST(SweepDeterminism, MatchesSerialRunCell)
 {
     const auto cells = sampleCells();
     SweepConfig sc;
@@ -104,12 +104,14 @@ TEST(SweepDeterminism, MatchesSerialPerfRunner)
     SweepEngine engine(sc);
     const auto parallel = engine.run(cells);
 
-    PerfRunner runner(smallTracegen());
+    // A fresh serial engine, one cell at a time: no cache state or
+    // batch order carries over from the parallel run.
+    sc.jobs = 1;
+    SweepEngine serialEngine(sc);
     std::vector<PerfResult> serial;
     for (const auto &cell : cells)
-        serial.push_back(
-            runner.run(cell.workload, cell.mitigator, cell.level));
-    expectIdentical(parallel, serial, "engine vs PerfRunner");
+        serial.push_back(serialEngine.runCell(cell));
+    expectIdentical(parallel, serial, "run vs serial runCell");
 }
 
 TEST(SweepDeterminism, RepeatedRunsOnOneEngineAreIdentical)
@@ -178,15 +180,18 @@ TEST(BaselineCache, KeyIncludesConfigNotJustWorkloadName)
     EXPECT_EQ(f1.get(), f1again.get());
 }
 
-TEST(BaselineCache, SharedAcrossRunnersGivesIdenticalResults)
+TEST(BaselineCache, SharedAcrossEnginesGivesIdenticalResults)
 {
     const auto cache = std::make_shared<BaselineCache>();
-    const auto tg = smallTracegen();
-    PerfRunner a(tg, CoreModel{}, cache);
-    PerfRunner b(tg, CoreModel{}, cache);
-    const auto &spec = workload::findWorkload("xz");
-    const auto m = mitigation::Registry::parse("moat");
-    EXPECT_EQ(toJsonLine(a.run(spec, m)), toJsonLine(b.run(spec, m)));
+    SweepConfig sc;
+    sc.tracegen = smallTracegen();
+    sc.jobs = 1;
+    SweepEngine a(sc, cache);
+    SweepEngine b(sc, cache);
+    const SweepCell cell{workload::findWorkload("xz"),
+                         mitigation::Registry::parse("moat"),
+                         abo::Level::L1};
+    EXPECT_EQ(toJsonLine(a.runCell(cell)), toJsonLine(b.runCell(cell)));
     EXPECT_EQ(cache->size(), 1u);
 }
 

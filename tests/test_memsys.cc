@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the memory-system performance model (single-sub-channel
- * runOnSubChannels and the full-system sim::System replay) and the
- * PerfRunner.
+ * runOnSubChannels and the full-system sim::System replay) and single
+ * perf cells run through SweepEngine::runCell.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "mitigation/null.hh"
 #include "mitigation/registry.hh"
 #include "sim/perf.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 
 namespace moatsim::sim
@@ -19,6 +20,16 @@ namespace
 
 using subchannel::SubChannel;
 using subchannel::SubChannelConfig;
+
+/** A serial engine over @p tg: runCell() is one perf cell. */
+SweepEngine
+serialEngine(const workload::TraceGenConfig &tg)
+{
+    SweepConfig sc;
+    sc.tracegen = tg;
+    sc.jobs = 1;
+    return SweepEngine(sc);
+}
 
 SubChannel
 nullChannel(uint32_t banks)
@@ -235,15 +246,15 @@ TEST(System, EmptyTracesFinishAtWindow)
     EXPECT_EQ(r.coreFinish[1], fromNs(1000));
 }
 
-TEST(PerfRunner, MultiSubChannelRunReportsBreakdown)
+TEST(PerfCell, MultiSubChannelRunReportsBreakdown)
 {
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.subchannels = 2;
     tg.windowFraction = 0.03125;
-    PerfRunner runner(tg);
-    const auto r = runner.run(workload::findWorkload("roms"),
-                              mitigation::Registry::parse("moat"));
+    SweepEngine engine = serialEngine(tg);
+    const auto r = engine.runCell({workload::findWorkload("roms"),
+                                   mitigation::Registry::parse("moat")});
     ASSERT_EQ(r.perSubchannel.size(), 2u);
     // Traffic is routed across both sub-channels.
     EXPECT_GT(r.perSubchannel[0].acts, 0u);
@@ -253,48 +264,48 @@ TEST(PerfRunner, MultiSubChannelRunReportsBreakdown)
               r.alerts);
 }
 
-TEST(PerfRunner, BaselineNormPerfIsOne)
+TEST(PerfCell, BaselineNormPerfIsOne)
 {
     // Running the suite against an effectively-disabled MOAT
     // (ATH huge) must give ~1.0 normalized performance.
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.windowFraction = 0.03125;
-    PerfRunner runner(tg);
+    SweepEngine engine = serialEngine(tg);
     const auto moat =
         mitigation::Registry::parse("moat:ath=1048576,eth=524288");
-    const auto r = runner.run(workload::findWorkload("x264"), moat);
+    const auto r = engine.runCell({workload::findWorkload("x264"), moat});
     EXPECT_NEAR(r.normPerf, 1.0, 0.002);
     EXPECT_EQ(r.alerts, 0u);
 }
 
-TEST(PerfRunner, HotWorkloadSlowsMoreThanColdOne)
+TEST(PerfCell, HotWorkloadSlowsMoreThanColdOne)
 {
     workload::TraceGenConfig tg;
     tg.banksSimulated = 8;
     tg.windowFraction = 0.0625;
-    PerfRunner runner(tg);
+    SweepEngine engine = serialEngine(tg);
     const mitigation::MitigatorSpec moat; // default: ATH 64
-    const auto hot = runner.run(workload::findWorkload("roms"), moat);
-    const auto cold = runner.run(workload::findWorkload("tc"), moat);
+    const auto hot = engine.runCell({workload::findWorkload("roms"), moat});
+    const auto cold = engine.runCell({workload::findWorkload("tc"), moat});
     EXPECT_GT(hot.alertsPerRefi, cold.alertsPerRefi);
     EXPECT_LE(cold.alertsPerRefi, 0.001);
     EXPECT_LT(hot.normPerf, 1.0);
 }
 
-TEST(PerfRunner, Ath128QuenchesAlerts)
+TEST(PerfCell, Ath128QuenchesAlerts)
 {
     // Needs the full 32-bank sub-channel: every ALERT gives all banks
     // a free mitigation, so fewer banks means more residual alerts.
     workload::TraceGenConfig tg;
     tg.banksSimulated = dram::kTable3BanksPerSubchannel;
     tg.windowFraction = 0.0625;
-    PerfRunner runner(tg);
+    SweepEngine engine = serialEngine(tg);
     const auto a64 = mitigation::Registry::parse("moat");
     const auto a128 = mitigation::Registry::parse("moat:ath=128,eth=64");
     const auto &spec = workload::findWorkload("roms");
-    const auto r64 = runner.run(spec, a64);
-    const auto r128 = runner.run(spec, a128);
+    const auto r64 = engine.runCell({spec, a64});
+    const auto r128 = engine.runCell({spec, a128});
     EXPECT_LT(r128.alertsPerRefi, 0.1 * r64.alertsPerRefi + 1e-3);
 }
 

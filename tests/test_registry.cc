@@ -3,8 +3,8 @@
  * Tests of the mitigator registry and the unified experiment API: spec
  * parsing (round-trip, unknown names/keys, malformed values), config
  * extraction, the SRAM single-source-of-truth, and a parameterized
- * sweep running every registered design through the PerfRunner and the
- * generic attack driver.
+ * sweep running every registered design through a sweep engine's
+ * perf cell and the generic attack driver.
  */
 
 #include <gtest/gtest.h>
@@ -185,15 +185,16 @@ class RegistryDesignTest : public ::testing::TestWithParam<std::string>
 {
 };
 
-TEST_P(RegistryDesignTest, RunsThroughPerfRunner)
+TEST_P(RegistryDesignTest, RunsThroughSweepEngine)
 {
-    workload::TraceGenConfig tg;
-    tg.banksSimulated = 8;
-    tg.windowFraction = 0.03125;
-    sim::PerfRunner runner(tg);
+    sim::SweepConfig sc;
+    sc.tracegen.banksSimulated = 8;
+    sc.tracegen.windowFraction = 0.03125;
+    sc.jobs = 1;
+    sim::SweepEngine engine(sc);
     const auto spec = Registry::parse(GetParam());
-    const auto r =
-        runner.run(workload::findWorkload("x264"), spec, abo::Level::L1);
+    const auto r = engine.runCell(
+        {workload::findWorkload("x264"), spec, abo::Level::L1});
     EXPECT_EQ(r.mitigator, spec.describe());
     EXPECT_GT(r.acts, 0u);
     EXPECT_GT(r.normPerf, 0.0);
@@ -250,10 +251,11 @@ TEST(Experiment, RunsTheConfiguredSelection)
     EXPECT_EQ(results[0].mitigator, "panopticon");
 
     // A sweep over another design reuses the same baseline cache.
-    const auto swept =
-        exp.run(Registry::parse("moat:ath=128,eth=64"), abo::Level::L1);
+    const auto swept = exp.runMatrix(
+        {{Registry::parse("moat:ath=128,eth=64"), abo::Level::L1}});
     ASSERT_EQ(swept.size(), 1u);
-    EXPECT_EQ(swept[0].mitigator, "moat:ath=128,eth=64");
+    ASSERT_EQ(swept[0].size(), 1u);
+    EXPECT_EQ(swept[0][0].mitigator, "moat:ath=128,eth=64");
 }
 
 } // namespace
