@@ -199,4 +199,27 @@ for fraction in 0 -1 2; do
     exit 1
   fi
 done
+
+# replay must reject an event outside the replayed System (bank 40 of
+# 32, row 70000 of 65536) and a bank column wider than its 16-bit
+# trace-event field with exit 1 and a message naming the value: the
+# replay loop indexes banks and rows unchecked in release builds (a
+# signal exit, e.g. 139 for SIGSEGV, is a failure), and a narrowing
+# read would silently replay another bank.
+echo "CLI validation: out-of-range replay events must be rejected"
+for bad in "40 5000|bank 40" "0 70000|row 70000" "65536 5000|bank 65536"; do
+  event="${bad%%|*}"
+  expect="${bad#*|}"
+  printf 'core 0\nwindow 40000000\n0 %s\n' "$event" \
+    > "$BUILD_DIR/bad_replay.trace"
+  status=0
+  timeout 60 "$BUILD_DIR/moatsim" replay \
+    --trace "$BUILD_DIR/bad_replay.trace" --mitigator panopticon \
+    > /dev/null 2> "$BUILD_DIR/bad_replay.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q "$expect" "$BUILD_DIR/bad_replay.err"; then
+    echo "FATAL: replay of event '$event' was not rejected (exit $status)" >&2
+    cat "$BUILD_DIR/bad_replay.err" >&2
+    exit 1
+  fi
+done
 echo "determinism smoke passed"

@@ -5,7 +5,15 @@
  *
  * The bank tracks only what Rowhammer mitigation needs: one activation
  * counter per row (the PRAC counter stored inline with the row) and the
- * currently open row. Data contents are not modelled. Per the JEDEC
+ * currently open row. Data contents are not modelled.
+ *
+ * Counters are stored in 16 bits: mitigators compare them with
+ * thresholds in the tens to hundreds, and the per-ACT counter update
+ * is the replay loop's dominant cache miss, so half the bytes per row
+ * is half the slab to miss in. A row whose count reaches 0xFFFF moves
+ * to a small per-bank overflow tail that holds its full 32-bit count,
+ * so every accessor still returns the exact ActCount: the narrowing
+ * is a storage layout, not a saturation semantic. Per the JEDEC
  * PRAC extension, the counter read-modify-write physically happens
  * during precharge; behaviourally we increment it at activate() and the
  * sub-channel delays any resulting ALERT to the precharge point.
@@ -14,6 +22,7 @@
 #ifndef MOATSIM_DRAM_BANK_HH
 #define MOATSIM_DRAM_BANK_HH
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -38,6 +47,9 @@ enum class CounterInit
 class Bank
 {
   public:
+    /** Storage width of one PRAC counter (see the file comment). */
+    using StoredCount = uint16_t;
+
     /**
      * Construct a bank.
      *
@@ -57,7 +69,7 @@ class Bank
      * outlive the bank.
      */
     Bank(const TimingParams &params, CounterInit init, Rng *rng,
-         std::span<ActCount> storage);
+         std::span<StoredCount> storage);
 
     /**
      * Moves keep the counters valid (both storage flavours live on
@@ -107,12 +119,29 @@ class Bank
     uint64_t totalActivations() const { return total_acts_; }
 
   private:
+    /** Stored value marking a row whose count lives in tail_. */
+    static constexpr StoredCount kInTail = 0xFFFF;
+
+    /** A row whose count reached kInTail, with its exact count. */
+    struct TailEntry
+    {
+        RowId row;
+        ActCount count;
+    };
+
     /** Backing storage when the bank owns its counters (empty when a
      *  caller-owned slab backs them). */
-    std::vector<ActCount> owned_;
+    std::vector<StoredCount> owned_;
     /** The counters; views owned_ or the caller's slab. Stays valid
      *  across moves (both point at heap storage). */
-    std::span<ActCount> counters_;
+    std::span<StoredCount> counters_;
+    /**
+     * Exact counts of the rows whose stored counter is kInTail, sorted
+     * by row. Only a row activated 65535 times without a reset lands
+     * here, so the tail stays empty unless a row goes unmitigated
+     * that long.
+     */
+    std::vector<TailEntry> tail_;
     RowId open_row_ = kInvalidRow;
     uint64_t total_acts_ = 0;
 };

@@ -124,7 +124,9 @@ CoAttackEngine::CoAttackEngine(const SweepConfig &config)
 }
 
 std::shared_ptr<const CoAttackEngine::Baseline>
-CoAttackEngine::baseline(const CoAttackCell &cell)
+CoAttackEngine::baseline(
+    const CoAttackCell &cell,
+    const std::function<const workload::TraceSet &()> &benign)
 {
     uint64_t key = hashCombine(perfConfigKey(config_.tracegen, config_.core),
                                stableHash64(cell.workload.name));
@@ -136,13 +138,11 @@ CoAttackEngine::baseline(const CoAttackCell &cell)
     return baselines_.get(key, [&] {
         CoAttackScenario none;
         none.pattern = "none";
-        const auto benign =
-            config_.traceStore->get(cell.workload, config_.tracegen);
         const SystemResult res =
             runCoSystem(config_.tracegen, config_.core, cell.workload,
                         cell.mitigator, cell.level,
                         resolveAttack(none, config_.tracegen), nullptr,
-                        benign.get());
+                        &benign());
         auto base = std::make_shared<Baseline>();
         base->coreFinish = res.coreFinish;
         base->totalActs = res.totalActs;
@@ -175,7 +175,16 @@ CoAttackEngine::computeCell(const CoAttackCell &cell)
     // Same chaos boundary as SweepEngine::computeCell: upstream of the
     // result store, so injected failures are never cached.
     fault::failPoint("sweep.compute");
-    const auto base = baseline(cell);
+    // At most one TraceStore fetch per cell, made on first use: with
+    // the store off every fetch regenerates the workload, so the
+    // baseline and the co-run must share one.
+    std::shared_ptr<const workload::TraceSet> benign;
+    const auto benign_traces = [&]() -> const workload::TraceSet & {
+        if (!benign)
+            benign = config_.traceStore->get(cell.workload, config_.tracegen);
+        return *benign;
+    };
+    const auto base = baseline(cell, benign_traces);
 
     CoAttackResult out;
     out.workload = cell.workload.name;
@@ -204,12 +213,10 @@ CoAttackEngine::computeCell(const CoAttackCell &cell)
     const workload::AttackTraceConfig attack =
         resolveAttack(cell.attack, config_.tracegen);
     uint32_t max_hammer = 0;
-    const auto benign =
-        config_.traceStore->get(cell.workload, config_.tracegen);
     const SystemResult co =
         runCoSystem(config_.tracegen, config_.core, cell.workload,
                     cell.mitigator, cell.level, attack, &max_hammer,
-                    benign.get());
+                    &benign_traces());
 
     out.attackerMaxHammer = max_hammer;
     out.attackerActs = co.totalActs - base->totalActs;

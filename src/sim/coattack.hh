@@ -209,7 +209,11 @@ class CoAttackEngine
         uint64_t refs = 0;
     };
 
-    std::shared_ptr<const Baseline> baseline(const CoAttackCell &cell);
+    /** The cell's baseline; computing it replays @p benign(), the
+     *  cell's one TraceStore fetch (see computeCell). */
+    std::shared_ptr<const Baseline>
+    baseline(const CoAttackCell &cell,
+             const std::function<const workload::TraceSet &()> &benign);
 
     /** Simulate one cell (the result store's compute path). */
     CoAttackResult computeCell(const CoAttackCell &cell);

@@ -94,7 +94,7 @@ SubChannel::SubChannel(const SubChannelConfig &config,
     for (BankId b = 0; b < nb; ++b) {
         banks_.emplace_back(
             config_.timing, config_.counterInit, &rng_,
-            std::span<ActCount>(counter_slab_.data() + b * rows, rows));
+            std::span(counter_slab_.data() + b * rows, rows));
         const bool tracked = observed.covers(b);
         observes_any = observes_any || tracked;
         security_.push_back(

@@ -283,11 +283,12 @@ class SubChannel
     Rng rng_;
     /**
      * Flat PRAC-counter slab backing every bank: one allocation of
-     * numBanks x rowsPerBank entries instead of one multi-hundred-KB
-     * allocation per bank. Declared before banks_ so it outlives the
-     * Bank spans into it.
+     * numBanks x rowsPerBank 16-bit entries (4 MiB for Table 3's
+     * 32 x 64K) instead of one allocation per bank; each bank keeps
+     * its own overflow tail (see dram::Bank). Declared before banks_
+     * so it outlives the Bank spans into it.
      */
-    std::vector<ActCount> counter_slab_;
+    std::vector<dram::Bank::StoredCount> counter_slab_;
     /** Banks stored by value: the per-ACT path indexes a contiguous
      *  array instead of chasing one heap pointer per bank. */
     std::vector<dram::Bank> banks_;

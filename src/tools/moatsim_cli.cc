@@ -649,7 +649,7 @@ cmdReplay(const Args &args)
     uint32_t nsc = 1;
     for (const auto &t : traces) {
         for (const auto &e : t.events)
-            nsc = std::max(nsc, e.subchannel + 1);
+            nsc = std::max(nsc, e.subchannel + 1u);
     }
     nsc = args.getPositive("subchannels", nsc);
 
@@ -658,6 +658,23 @@ cmdReplay(const Args &args)
     sys.channel.securityBanks = subchannel::SecurityBanks::all();
     sys.subchannels = nsc;
     sim::System system(sys, spec.factory());
+    // The replay loop indexes banks and rows unchecked in release
+    // builds, so an event outside this System is rejected up front.
+    for (size_t c = 0; c < traces.size(); ++c) {
+        for (size_t i = 0; i < traces[c].events.size(); ++i) {
+            const auto &e = traces[c].events[i];
+            const auto &ch = system.subchannel(e.subchannel % nsc);
+            const uint32_t banks = ch.numBanks();
+            const uint32_t rows = ch.timing().rowsPerBank;
+            if (e.bank < banks && e.row < rows)
+                continue;
+            fatal("replay: core " + std::to_string(c) + " event " +
+                  std::to_string(i) + " targets bank " +
+                  std::to_string(e.bank) + " row " + std::to_string(e.row) +
+                  ", outside the replayed " + std::to_string(banks) +
+                  " banks x " + std::to_string(rows) + " rows");
+        }
+    }
     // Boolean flag: replay under attacker-controlled REF postponement.
     system.setPostponeRefresh(args.getBool("postpone", false));
     const auto res = sim::runSystem(system, traces);

@@ -19,11 +19,19 @@ struct Builder
     Time t = 0;
     /** Default pacing between attacker ACTs. */
     Time gap;
+    /** The pinned slot, range-checked into a TraceEvent's width. */
+    uint16_t slot;
 
     explicit Builder(const AttackTraceConfig &config)
         : cfg(config),
-          gap(config.actGap > 0 ? config.actGap : config.timing.tRC)
+          gap(config.actGap > 0 ? config.actGap : config.timing.tRC),
+          slot(static_cast<uint16_t>(config.subchannel))
     {
+        if (config.subchannel > kMaxSubchannel)
+            fatal("generateAttackTrace: sub-channel " +
+                  std::to_string(config.subchannel) + " exceeds the " +
+                  std::to_string(kMaxSubchannel) +
+                  " a trace event addresses");
         out.subchannel = config.subchannel;
         out.bank = config.bank;
     }
@@ -32,7 +40,7 @@ struct Builder
     emit(RowId row)
     {
         out.trace.events.push_back(
-            {t, cfg.bank, row, cfg.subchannel});
+            {.at = t, .row = row, .bank = cfg.bank, .subchannel = slot});
         t += gap;
     }
 
@@ -40,7 +48,7 @@ struct Builder
     emit(RowId row, Time at)
     {
         out.trace.events.push_back(
-            {at, cfg.bank, row, cfg.subchannel});
+            {.at = at, .row = row, .bank = cfg.bank, .subchannel = slot});
         t = std::max(t, at + gap);
     }
 };

@@ -1,12 +1,33 @@
 #include "workload/trace_io.hh"
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace moatsim::workload
 {
+
+namespace
+{
+
+/** @p value as a @p Field, or fatal() naming the trace line and the
+ *  column when it does not fit. @p value is non-negative. */
+template <typename Field>
+Field
+fieldOf(int64_t value, const char *column, size_t lineno)
+{
+    const uint64_t max = std::numeric_limits<Field>::max();
+    if (static_cast<uint64_t>(value) > max)
+        fatal("trace line " + std::to_string(lineno) + ": " + column +
+              " " + std::to_string(value) + " exceeds " +
+              std::to_string(max));
+    return static_cast<Field>(value);
+}
+
+} // namespace
 
 void
 writeTraces(std::ostream &os, const std::vector<CoreTrace> &traces)
@@ -88,9 +109,12 @@ readTraces(std::istream &is)
                     fatal("trace line " + std::to_string(lineno) +
                           ": bad event");
             }
-            e.bank = static_cast<BankId>(bank);
-            e.row = static_cast<RowId>(row);
-            e.subchannel = static_cast<uint32_t>(subchannel);
+            // Each column must fit its TraceEvent field; a narrowing
+            // cast would silently replay a different coordinate.
+            e.bank = fieldOf<BankId>(bank, "bank", lineno);
+            e.row = fieldOf<RowId>(row, "row", lineno);
+            e.subchannel = fieldOf<decltype(e.subchannel)>(
+                subchannel, "sub-channel", lineno);
             if (!current->events.empty() &&
                 e.at < current->events.back().at)
                 fatal("trace line " + std::to_string(lineno) +

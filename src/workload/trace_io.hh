@@ -15,7 +15,8 @@
  * Events must be sorted by time within a core. The fourth column is
  * the v2 extension for multi-sub-channel systems; files whose events
  * all target sub-channel 0 are written in the 3-column v1 format and
- * both are accepted on read.
+ * both are accepted on read. Each column must fit its TraceEvent
+ * field: bank and subchannel at most 65535, row at most 2^32 - 1.
  */
 
 #ifndef MOATSIM_WORKLOAD_TRACE_IO_HH
@@ -35,7 +36,8 @@ void writeTraces(std::ostream &os, const std::vector<CoreTrace> &traces);
 
 /**
  * Parse traces from a stream.
- * Calls fatal() on malformed input (bad numbers, unsorted times).
+ * Calls fatal() on malformed input (bad numbers, a column outside its
+ * field's range, unsorted times), naming the line.
  */
 std::vector<CoreTrace> readTraces(std::istream &is);
 

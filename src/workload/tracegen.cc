@@ -108,13 +108,14 @@ routeCoord(const dram::AddressMap &map, uint32_t channel, uint32_t rank,
     return map.decode(a);
 }
 
-/** Flat replay-slot index of decoded coordinates (System order). */
-uint32_t
+/** Flat replay-slot index of decoded coordinates (System order);
+ *  generateTraces has checked that every slot fits a TraceEvent. */
+uint16_t
 slotOfCoord(const dram::DramCoord &c, const TraceGenConfig &config)
 {
-    return ((c.channel * ranksOf(config)) + c.rank) *
-               subchannelsOf(config) +
-           c.subchannel;
+    return static_cast<uint16_t>(((c.channel * ranksOf(config)) + c.rank) *
+                                     subchannelsOf(config) +
+                                 c.subchannel);
 }
 
 /** Invocation counter behind traceGenInvocations(). */
@@ -218,6 +219,12 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
     const dram::TimingParams &t = config.timing;
     if (config.numCores == 0 || config.banksSimulated == 0)
         fatal("generateTraces: cores and banks must be non-zero");
+    if (static_cast<uint64_t>(channelsOf(config)) * ranksOf(config) *
+            subchannelsOf(config) >
+        uint64_t{kMaxSubchannel} + 1)
+        fatal("generateTraces: more replay slots than the " +
+              std::to_string(uint64_t{kMaxSubchannel} + 1) +
+              " a trace event addresses");
     if (config.banksSimulated * slotsOf(config) > config.systemBanks)
         fatal("generateTraces: simulated banks exceed system banks");
 
@@ -327,11 +334,13 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     rng.below(static_cast<uint64_t>(window - span)));
                 const dram::DramCoord c =
                     routeCoord(map, chan, rank, sc, raw_bank, h.row);
-                const uint32_t c_slot = slotOfCoord(c, config);
+                const uint16_t c_slot = slotOfCoord(c, config);
                 for (uint32_t i = 0; i < h.count; ++i) {
                     trace.events.push_back(
-                        {start + static_cast<Time>(i) * gap, c.bank,
-                         c.row, c_slot});
+                        {.at = start + static_cast<Time>(i) * gap,
+                         .row = c.row,
+                         .bank = c.bank,
+                         .subchannel = c_slot});
                 }
             }
 
@@ -343,8 +352,10 @@ generateTraces(const WorkloadSpec &spec, const TraceGenConfig &config)
                     rng.below(static_cast<uint64_t>(window)));
                 const dram::DramCoord c =
                     routeCoord(map, chan, rank, sc, raw_bank, r);
-                trace.events.push_back(
-                    {at, c.bank, c.row, slotOfCoord(c, config)});
+                trace.events.push_back({.at = at,
+                                        .row = c.row,
+                                        .bank = c.bank,
+                                        .subchannel = slotOfCoord(c, config)});
             }
         }
 

@@ -25,6 +25,7 @@
 #define MOATSIM_WORKLOAD_TRACEGEN_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -48,18 +49,26 @@ struct TraceEvent
 {
     /** Intended time within the window (pre-back-pressure). */
     Time at = 0;
-    BankId bank = 0;
     RowId row = 0;
+    BankId bank = 0;
     /**
      * Target sub-channel replay slot (0 when the system has only
      * one). On a multi-channel/multi-rank system this is the flat
      * slot index ((channel * ranks) + rank) * subchannels +
      * subchannel, matching sim::System's construction order, so the
      * replay hot loop dispatches on one integer regardless of the
-     * topology.
+     * topology. Every producer rejects a slot above kMaxSubchannel.
      */
-    uint32_t subchannel = 0;
+    uint16_t subchannel = 0;
 };
+
+/** Largest replay slot a TraceEvent addresses. */
+inline constexpr uint32_t kMaxSubchannel =
+    std::numeric_limits<decltype(TraceEvent::subchannel)>::max();
+
+// Generation, flattening, the TraceStore and the replay stream all
+// move events by the byte; the layout is the one the fields pack to.
+static_assert(sizeof(TraceEvent) == 16, "TraceEvent must pack to 16 bytes");
 
 /** The activation stream of one core, sorted by intended time. */
 struct CoreTrace

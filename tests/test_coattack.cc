@@ -223,6 +223,42 @@ TEST(CoAttack, SweepCellsBitIdenticalAcrossJobCounts)
             << "cell " << i;
 }
 
+TEST(CoAttack, StoreOffCellFetchesItsTracesOnce)
+{
+    // With the trace store off every fetch regenerates. The first
+    // attacked cell's baseline and co-run share one fetch, the second
+    // attacked cell reuses the baseline, and the attack-free cell
+    // needs no traces at all: 2 generations, not 3.
+    SweepConfig sc;
+    sc.tracegen = smallTracegen();
+    sc.jobs = 1;
+    workload::TraceStore::Config off;
+    off.enabled = false;
+    sc.traceStore = std::make_shared<workload::TraceStore>(off);
+    CoAttackEngine engine(sc);
+    std::vector<CoAttackCell> cells;
+    for (const char *p : {"hammer", "ratchet", "none"}) {
+        CoAttackScenario attack;
+        attack.pattern = p;
+        cells.push_back({workload::findWorkload("xz"),
+                         mitigation::Registry::parse("moat"),
+                         abo::Level::L1, attack});
+    }
+    const uint64_t before = workload::traceGenInvocations();
+    const auto results = engine.run(cells);
+    EXPECT_EQ(workload::traceGenInvocations() - before, 2u);
+
+    // The same cells on a fresh store-on engine give the same bytes.
+    SweepConfig on = sc;
+    on.traceStore = nullptr;
+    CoAttackEngine reference(on);
+    const auto expected = reference.run(cells);
+    ASSERT_EQ(results.size(), expected.size());
+    for (size_t i = 0; i < results.size(); ++i)
+        EXPECT_EQ(toJsonLine(results[i]), toJsonLine(expected[i]))
+            << "cell " << i;
+}
+
 TEST(CoAttack, AttackedRunReportsAttackActivity)
 {
     // The attacked cell must attribute extra defence work to the

@@ -47,7 +47,8 @@ simpleTrace(Time window, Time gap, BankId bank, RowId row, int n)
     workload::CoreTrace t;
     t.window = window;
     for (int i = 0; i < n; ++i)
-        t.events.push_back({static_cast<Time>(i) * gap, bank, row});
+        t.events.push_back(
+            {.at = static_cast<Time>(i) * gap, .row = row, .bank = bank});
     return t;
 }
 
@@ -104,7 +105,8 @@ TEST(MemSys, MlpBoundsOutstandingRequests)
     workload::CoreTrace t;
     t.window = fromNs(100000);
     for (int i = 0; i < 400; ++i)
-        t.events.push_back({0, static_cast<BankId>(i % 4), 100});
+        t.events.push_back(
+            {.at = 0, .row = 100, .bank = static_cast<BankId>(i % 4)});
     traces.push_back(t);
 
     auto ch1 = nullChannel(4);
@@ -141,13 +143,15 @@ moatSystem(uint32_t subchannels, uint32_t banks)
 
 /** A trace hammering one row on one sub-channel hard enough to ALERT. */
 workload::CoreTrace
-hammerTrace(uint32_t subchannel, int n)
+hammerTrace(uint16_t subchannel, int n)
 {
     workload::CoreTrace t;
     t.window = fromNs(static_cast<int64_t>(n) * 100);
     for (int i = 0; i < n; ++i)
-        t.events.push_back({static_cast<Time>(i) * fromNs(60), 0, 7,
-                            subchannel});
+        t.events.push_back({.at = static_cast<Time>(i) * fromNs(60),
+                            .row = 7,
+                            .bank = 0,
+                            .subchannel = subchannel});
     return t;
 }
 
@@ -230,6 +234,21 @@ TEST(System, StickyAlertFlagMatchesPerActPoll)
     EXPECT_EQ(r.coreFinish, (std::vector<Time>{93824000, 93824000}));
     EXPECT_EQ(r.alerts, 44u);
     EXPECT_EQ(r.refs, 30u);
+}
+
+TEST(System, UnmitigatedReplayCountsPastSixteenBitsExactly)
+{
+    // 70,000 replayed ACTs on one row of sub-channel 1 overrun the
+    // 16-bit counter slab; the bank's overflow tail keeps the count.
+    System sys(moatSystem(2, 2), [](BankId) {
+        return std::make_unique<mitigation::NullMitigator>();
+    });
+    std::vector<workload::CoreTrace> traces;
+    traces.push_back(hammerTrace(1, 70000));
+    const SystemResult r = runSystem(sys, traces);
+    EXPECT_EQ(r.totalActs, 70000u);
+    EXPECT_EQ(sys.subchannel(1).bank(0).counter(7), 70000u);
+    EXPECT_EQ(sys.subchannel(0).bank(0).counter(7), 0u);
 }
 
 TEST(System, EmptyTracesFinishAtWindow)

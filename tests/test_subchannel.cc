@@ -360,7 +360,10 @@ TEST(SubChannel, CustomMitigatorMatchesSealedDispatch)
         traces[sc].window = fromNs(80000);
         for (int i = 0; i < 800; ++i)
             traces[sc].events.push_back(
-                {static_cast<Time>(i) * fromNs(60), 0, 7, sc});
+                {.at = static_cast<Time>(i) * fromNs(60),
+                 .row = 7,
+                 .bank = 0,
+                 .subchannel = static_cast<uint16_t>(sc)});
     }
     sim::SystemConfig cfg;
     cfg.channel.numBanks = 4;

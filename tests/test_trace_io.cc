@@ -19,11 +19,11 @@ sampleTraces()
 {
     std::vector<CoreTrace> traces(2);
     traces[0].window = fromNs(1000);
-    traces[0].events = {{fromNs(10), 0, 100},
-                        {fromNs(20), 1, 200},
-                        {fromNs(20), 0, 100}};
+    traces[0].events = {{.at = fromNs(10), .row = 100, .bank = 0},
+                        {.at = fromNs(20), .row = 200, .bank = 1},
+                        {.at = fromNs(20), .row = 100, .bank = 0}};
     traces[1].window = fromNs(2000);
-    traces[1].events = {{fromNs(5), 3, 7}};
+    traces[1].events = {{.at = fromNs(5), .row = 7, .bank = 3}};
     return traces;
 }
 
@@ -66,9 +66,10 @@ TEST(TraceIo, MultiSubChannelRoundTrip)
     // 4-column format; the sub-channel must survive the round trip.
     std::vector<CoreTrace> in(1);
     in[0].window = fromNs(1000);
-    in[0].events = {{fromNs(10), 0, 100, 0},
-                    {fromNs(20), 1, 200, 1},
-                    {fromNs(30), 2, 300, 1}};
+    in[0].events = {
+        {.at = fromNs(10), .row = 100, .bank = 0, .subchannel = 0},
+        {.at = fromNs(20), .row = 200, .bank = 1, .subchannel = 1},
+        {.at = fromNs(30), .row = 300, .bank = 2, .subchannel = 1}};
     std::stringstream ss;
     writeTraces(ss, in);
     EXPECT_NE(ss.str().find("trace v2"), std::string::npos);
@@ -138,7 +139,7 @@ TEST(TraceIo, EmptyCoreRoundTrip)
     std::vector<CoreTrace> in(2);
     in[0].window = fromNs(500);
     in[1].window = fromNs(500);
-    in[1].events = {{fromNs(5), 0, 1}};
+    in[1].events = {{.at = fromNs(5), .row = 1, .bank = 0}};
     std::stringstream ss;
     writeTraces(ss, in);
     const auto out = readTraces(ss);
@@ -153,7 +154,8 @@ TEST(TraceIo, UnsetWindowOmittedAndRederived)
     // window == 0 is not serialized (the reader rejects "window 0");
     // it is re-derived from the last event on load.
     std::vector<CoreTrace> in(1);
-    in[0].events = {{10, 0, 1}, {50, 0, 2}};
+    in[0].events = {{.at = 10, .row = 1, .bank = 0},
+                    {.at = 50, .row = 2, .bank = 0}};
     std::stringstream ss;
     writeTraces(ss, in);
     EXPECT_EQ(ss.str().find("window"), std::string::npos);
@@ -199,6 +201,43 @@ TEST(TraceIoDeathTest, NegativeEventFieldFatal)
     std::stringstream ss;
     ss << "core 0\nwindow 100\n10 -1 5\n";
     EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1), "bad event");
+}
+
+TEST(TraceIo, FieldMaximaReadBack)
+{
+    std::stringstream ss;
+    ss << "core 0\nwindow 100\n10 65535 4294967295 65535\n";
+    const auto out = readTraces(ss);
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].events.size(), 1u);
+    EXPECT_EQ(out[0].events[0].bank, 65535u);
+    EXPECT_EQ(out[0].events[0].row, 4294967295u);
+    EXPECT_EQ(out[0].events[0].subchannel, 65535u);
+}
+
+TEST(TraceIoDeathTest, BankAboveFieldRangeFatal)
+{
+    // 65536 would wrap to bank 0 through a narrowing cast.
+    std::stringstream ss;
+    ss << "core 0\nwindow 100\n10 65536 5\n";
+    EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1),
+                "trace line 3: bank 65536 exceeds 65535");
+}
+
+TEST(TraceIoDeathTest, RowAboveFieldRangeFatal)
+{
+    std::stringstream ss;
+    ss << "core 0\nwindow 100\n10 0 4294967296\n";
+    EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1),
+                "trace line 3: row 4294967296 exceeds 4294967295");
+}
+
+TEST(TraceIoDeathTest, SubChannelAboveFieldRangeFatal)
+{
+    std::stringstream ss;
+    ss << "core 0\nwindow 100\n10 0 5 65536\n";
+    EXPECT_EXIT(readTraces(ss), testing::ExitedWithCode(1),
+                "trace line 3: sub-channel 65536 exceeds 65535");
 }
 
 TEST(TraceIoDeathTest, OutOfOrderEventsFatal)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "workload/attack_trace.hh"
 #include "workload/spec.hh"
 #include "workload/tracegen.hh"
 
@@ -206,6 +207,39 @@ TEST_F(TraceGenTest, HotMassNeverExceedsBankTime)
                 << spec.name << " bank " << b;
         }
     }
+}
+
+TEST(TraceGenDeathTest, MoreSlotsThanAnEventAddressesIsFatal)
+{
+    // 2^17 replay slots: an event's 16-bit slot would wrap.
+    TraceGenConfig cfg;
+    cfg.subchannels = 1u << 17;
+    EXPECT_EXIT(generateTraces(findWorkload("xz"), cfg),
+                testing::ExitedWithCode(1),
+                "more replay slots than the 65536 a trace event");
+}
+
+TEST(AttackTrace, PinsTheLargestSlotAnEventAddresses)
+{
+    AttackTraceConfig cfg;
+    cfg.subchannel = kMaxSubchannel;
+    cfg.bank = 3;
+    cfg.budget = 4;
+    const AttackTrace a = generateAttackTrace(cfg);
+    ASSERT_EQ(a.trace.events.size(), 4u);
+    for (const auto &e : a.trace.events) {
+        EXPECT_EQ(e.subchannel, kMaxSubchannel);
+        EXPECT_EQ(e.bank, 3u);
+        EXPECT_EQ(e.row, a.rows[0]);
+    }
+}
+
+TEST(AttackTraceDeathTest, SlotAboveAnEventsRangeIsFatal)
+{
+    AttackTraceConfig cfg;
+    cfg.subchannel = kMaxSubchannel + 1;
+    EXPECT_EXIT(generateAttackTrace(cfg), testing::ExitedWithCode(1),
+                "sub-channel 65536 exceeds the 65535");
 }
 
 } // namespace
